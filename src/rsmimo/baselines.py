@@ -10,15 +10,12 @@ from .solver import SolverConfig, SolverState, run
 
 def mrt_precoder(H_hat, rho) -> PrecoderSet:
     """Matched-filter private precoders with equal per-user power, no common stream."""
-    K = len(H_hat)
-    M, N = H_hat[0].shape
-    Pp = []
-    for Hk in H_hat:
-        scale = float(np.linalg.norm(Hk))
-        if scale < 1e-12:
-            raise ValueError("degenerate all-zero channel estimate")
-        Pp.append(np.sqrt(rho / K) * Hk / scale)
-    return PrecoderSet(Pc=np.zeros((M, N), dtype=complex), Pp=Pp, rho=float(rho))
+    H = np.asarray(H_hat)
+    scale = np.linalg.norm(H, axis=(1, 2), keepdims=True)
+    if np.any(scale < 1e-12):
+        raise ValueError("degenerate all-zero channel estimate")
+    Pp = np.sqrt(rho / len(H)) * H / scale
+    return PrecoderSet(Pc=np.zeros(H.shape[1:], dtype=complex), Pp=Pp, rho=float(rho))
 
 
 def rwmmse_precoder(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig()) -> SolverState:

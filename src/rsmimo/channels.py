@@ -69,8 +69,9 @@ def sample_estimation_channel(M, N, K, sigma_e2, rng) -> ChannelSet:
 
 
 def _check_semi_unitary(X, tol=1e-8):
-    G = X.conj().T @ X
-    if np.max(np.abs(G - np.eye(X.shape[1]))) > tol:
+    """Reject a matrix, or any matrix of a stack, whose columns are not orthonormal."""
+    G = X.conj().swapaxes(-1, -2) @ X
+    if np.max(np.abs(G - np.eye(X.shape[-1]))) > tol:
         raise ValueError("matrix is not semi-unitary within tolerance")
 
 
@@ -89,11 +90,11 @@ def random_codebook(M, N, bits, rng) -> Codebook:
     """Random codebook of 2**bits semi-unitary matrices from thin-QR of Gaussians."""
     if not (1 <= bits <= MAX_CODEBOOK_BITS):
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
-    entries = []
-    for _ in range(2**bits):
-        Q, _ = np.linalg.qr(complex_gaussian(rng, (M, N)))
-        entries.append(Q)
-    return Codebook(entries=entries, bits=bits)
+    # the random stream of one complex_gaussian(rng, (M, N)) per codeword:
+    # real parts, then imaginary parts
+    z = rng.standard_normal((2**bits, 2, M, N))
+    Q, _ = np.linalg.qr(np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1]))
+    return Codebook(entries=list(Q), bits=bits)
 
 
 def dominant_subspace(H):
@@ -110,16 +111,17 @@ def quantize_channel(H, codebook: Codebook):
 
     Returns (index, codeword, distortion); ties resolve to the lowest index.
     """
-    if not codebook.entries:
+    entries = codebook.entries
+    if len(entries) == 0:
         raise ValueError("codebook is empty")
     Htilde = dominant_subspace(H)
-    best_i = 0
-    best_d = np.inf
-    for i, C in enumerate(codebook.entries):
-        d = chordal_distance(Htilde, C)
-        if d < best_d:
-            best_i, best_d = i, d
-    return best_i, codebook.entries[best_i], best_d
+    C = np.asarray(entries)
+    _check_semi_unitary(C)
+    # chordal distances N - ||Htilde^H C_i||_F^2 to every codeword at once
+    proj = Htilde.conj().T @ C
+    dist = np.maximum(Htilde.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(1, 2)), 0.0)
+    best = int(np.argmin(dist))
+    return best, entries[best], float(dist[best])
 
 
 def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
@@ -131,13 +133,9 @@ def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
     """
     K = len(H_list)
     M, N = H_list[0].shape
-    distortions = []
-    words = []
-    for k in range(K):
-        _, C, d = quantize_channel(H_list[k], codebooks[k])
-        words.append(C)
-        distortions.append(d)
-    gamma_hat = float(np.mean(distortions)) / N
+    picks = [quantize_channel(Hk, book) for Hk, book in zip(H_list, codebooks)]
+    words = [C for _, C, _ in picks]
+    gamma_hat = float(np.mean([d for _, _, d in picks])) / N
     # gamma beyond (M-N)/M would imply negative known-part energy; clamp
     sigma_e2 = min(M * gamma_hat / (M - N), 1.0 - 1e-9)
     delta_hat = np.sqrt(M * (1.0 - sigma_e2))
@@ -172,10 +170,6 @@ def load_codebook(path) -> tuple[Codebook, int]:
         M, N, bits, seed = struct.unpack("<IIIQ", fh.read(20))
         raw = fh.read(2**bits * M * N * 8)
         arr = np.frombuffer(raw, dtype=np.complex64).reshape(2**bits, M, N)
-    entries = []
-    for i in range(2**bits):
-        C = np.array(arr[i], dtype=complex)
-        # float32 rounding breaks exact semi-unitarity; snap to the polar factor
-        u, _, vh = np.linalg.svd(C, full_matrices=False)
-        entries.append(u @ vh)
-    return Codebook(entries=entries, bits=bits), seed
+    # float32 rounding breaks exact semi-unitarity; snap to the polar factor
+    u, _, vh = np.linalg.svd(arr.astype(complex), full_matrices=False)
+    return Codebook(entries=list(u @ vh), bits=bits), seed

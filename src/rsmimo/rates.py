@@ -3,11 +3,16 @@
 Conventions: optimization objectives are in nats, reported rates in bits.
 Hermitian products are explicitly symmetrized before factorizations, and every
 real-part extraction asserts that the imaginary residue is negligible.
+
+Per-user quantities are stacked on a leading user axis: the channel estimates
+and the private precoders are (K, M, N) arrays, the MSE and weight matrices
+(K, N, N) arrays, so a factorization or solve is one batched call over users.
+The matrix helpers accept a single matrix or a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,26 +21,45 @@ LN2 = np.log(2.0)
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Common precoder Pc, private precoders Pp (one per user), power budget rho."""
+    """Common precoder Pc (M x N), private precoders Pp (K, M, N), power budget rho.
+
+    Pp may be given as any sequence of M x N blocks; it is stored as one
+    array, so iterating over it still yields the per-user blocks.
+    """
 
     Pc: np.ndarray
-    Pp: list
+    Pp: np.ndarray
     rho: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "Pp", np.asarray(self.Pp))
 
     def full(self):
         """Concatenation [Pc, P_1, ..., P_K], shape M x N(K+1)."""
-        return np.concatenate([self.Pc] + list(self.Pp), axis=1)
+        return np.concatenate([self.Pc, self.private()], axis=1)
 
     def private(self):
-        return np.concatenate(list(self.Pp), axis=1)
+        """Concatenation [P_1, ..., P_K], shape M x NK."""
+        K, M, N = self.Pp.shape
+        return self.Pp.transpose(1, 0, 2).reshape(M, K * N)
 
     def power(self) -> float:
-        return float(np.sum(np.abs(self.Pc) ** 2) + sum(np.sum(np.abs(P) ** 2) for P in self.Pp))
+        return float(np.vdot(self.Pc, self.Pc).real + np.vdot(self.Pp, self.Pp).real)
+
+
+class _PerUser:
+    """Fields share a leading user axis; indexing (and so iterating) gives one user's bundle."""
+
+    def __len__(self):
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, k):
+        return type(self)(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 @dataclass(frozen=True)
-class MseBundle:
-    """Per-user MMSE filters and error matrices at the current precoders."""
+class MseBundle(_PerUser):
+    """MMSE filters, error matrices and their log-dets; all_bundles stacks them over users."""
 
     F: np.ndarray
     G: np.ndarray
@@ -43,54 +67,59 @@ class MseBundle:
     Dp: np.ndarray
     Mc_mmse: np.ndarray
     Mp_mmse: np.ndarray
+    logdet_c: np.ndarray
+    logdet_p: np.ndarray
 
 
 @dataclass(frozen=True)
-class WeightBundle:
+class WeightBundle(_PerUser):
+    """Weight matrices and softmax weights; weights() stacks them over users."""
+
     Wc: np.ndarray
     Wp: np.ndarray
-    mu: float
+    mu: np.ndarray
+
+
+def _h(A):
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def herm(A):
     """Explicit Hermitian symmetrization (A + A^H)/2."""
-    return 0.5 * (A + A.conj().T)
+    return 0.5 * (A + _h(A))
 
 
-def checked_real(z) -> float:
-    """Real part of a scalar, rejecting non-negligible imaginary residue."""
-    z = complex(z)
-    if abs(z.imag) > 1e-10 * (1.0 + abs(z.real)):
-        raise ValueError(f"imaginary residue {z.imag:.3e} too large for real extraction")
-    return z.real
+def checked_real(z):
+    """Real part of a scalar or array, rejecting non-negligible imaginary residue."""
+    z = np.asarray(z)
+    residue = abs(z.imag)
+    if (residue > 1e-10 * (1.0 + abs(z.real))).any():
+        raise ValueError(f"imaginary residue {residue.max():.3e} too large for real extraction")
+    return float(z.real) if z.ndim == 0 else z.real
 
 
-def cholesky_logdet(A) -> float:
-    """log det of a Hermitian positive definite matrix via its Cholesky factor."""
+def cholesky_logdet(A):
+    """log det of Hermitian positive definite matrices via their Cholesky factors."""
     L = np.linalg.cholesky(herm(A))
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(L)))))
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
 
 
 def cholesky_solve(A, B):
     """Solve A X = B for Hermitian positive definite A through its Cholesky factor."""
     L = np.linalg.cholesky(herm(A))
-    return np.linalg.solve(L.conj().T, np.linalg.solve(L, B))
+    return np.linalg.solve(_h(L), np.linalg.solve(L, B))
 
 
 def pd_inverse(A):
     """Inverse of a Hermitian positive definite matrix, symmetrized."""
-    return herm(cholesky_solve(A, np.eye(A.shape[0], dtype=complex)))
+    return herm(cholesky_solve(A, np.broadcast_to(np.eye(A.shape[-1], dtype=complex), A.shape)))
 
 
 def logsumexp(x) -> float:
     x = np.asarray(x, dtype=float)
     m = float(np.max(x))
     return m + float(np.log(np.sum(np.exp(x - m))))
-
-
-def _logdet_rate_bits(S, Q) -> float:
-    """log2 det(I + Q^{-1} S) for PSD signal S and PD interference-plus-noise Q."""
-    return max((cholesky_logdet(Q + S) - cholesky_logdet(Q)) / LN2, 0.0)
 
 
 def instantaneous_rates(H, P: PrecoderSet, sigma_n2):
@@ -102,23 +131,21 @@ def instantaneous_rates(H, P: PrecoderSet, sigma_n2):
     """
     if sigma_n2 <= 0:
         raise ValueError("sigma_n2 must be positive")
-    K = len(H)
+    Hh = _h(np.asarray(H))                                   # (K, N, M)
+    K, N, _ = Hh.shape
     if len(P.Pp) != K:
         raise ValueError("precoder count does not match user count")
-    N = H[0].shape[1]
-    Rc, Rp = [], []
-    for k in range(K):
-        Hk = H[k]
-        priv = [Hk.conj().T @ Pj for Pj in P.Pp]
-        Q_all = sum(herm(A @ A.conj().T) for A in priv) + sigma_n2 * np.eye(N)
-        Ac = Hk.conj().T @ P.Pc
-        Rc.append(_logdet_rate_bits(herm(Ac @ Ac.conj().T), Q_all))
-        Q_other = (
-            sum(herm(priv[j] @ priv[j].conj().T) for j in range(K) if j != k)
-            + sigma_n2 * np.eye(N)
-        )
-        Rp.append(_logdet_rate_bits(herm(priv[k] @ priv[k].conj().T), Q_other))
-    return Rc, Rp, min(Rc) + sum(Rp)
+    priv = Hh[:, None] @ P.Pp[None]                          # (K, K, N, N): user k sees stream j
+    cov = herm(priv @ _h(priv))
+    others = (cov * ~np.eye(K, dtype=bool)[:, :, None, None]).sum(axis=1)
+    Q_other = others + sigma_n2 * np.eye(N)
+    Q_all = Q_other + cov[np.arange(K), np.arange(K)]
+    Ac = Hh @ P.Pc
+    ld = cholesky_logdet(np.concatenate([Q_all + herm(Ac @ _h(Ac)), Q_all, Q_other]))
+    ld_c, ld_all, ld_other = ld.reshape(3, K)
+    Rc = np.maximum((ld_c - ld_all) / LN2, 0.0)
+    Rp = np.maximum((ld_all - ld_other) / LN2, 0.0)
+    return Rc.tolist(), Rp.tolist(), float(np.min(Rc) + np.sum(Rp))
 
 
 def expectation_quadratic(variances, X):
@@ -136,44 +163,50 @@ def expectation_quadratic(variances, X):
     return np.diag(variances.T @ np.diagonal(X))
 
 
-def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
-    """MMSE filters and error matrices for user k at the given precoders.
+def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
+    """MMSE bundles of the n channels H (n, M, N), stacked; channel i decodes
+    the private stream own[i] of the K in P.
 
     F folds the full transmit power times the CSIT error variance into the
     common-stream noise floor; G is the private-only counterpart valid after
     common-stream removal.
     """
-    N = H_hat_k.shape[1]
+    Hh = _h(np.asarray(H))                                   # (n, N, M)
+    n, N, _ = Hh.shape
+    K = len(P.Pp)
+    s2 = np.asarray(sigma_e2, dtype=float)[:, None, None]
     eye = np.eye(N)
-    Sfull = H_hat_k.conj().T @ P.full()
-    Spriv = H_hat_k.conj().T @ P.private()
-    tr_full = float(np.sum(np.abs(P.full()) ** 2))
-    tr_priv = float(np.sum(np.abs(P.private()) ** 2))
-    F = herm(Sfull @ Sfull.conj().T) + (sigma_e2_k * tr_full + sigma_n2) * eye
-    G = herm(Spriv @ Spriv.conj().T) + (sigma_e2_k * tr_priv + sigma_n2) * eye
-    Sc = H_hat_k.conj().T @ P.Pc
-    Sp = H_hat_k.conj().T @ P.Pp[k]
-    Fi_Sc = cholesky_solve(F, Sc)
-    Gi_Sp = cholesky_solve(G, Sp)
-    return MseBundle(
-        F=F,
-        G=G,
-        Dc=Fi_Sc.conj().T,
-        Dp=Gi_Sp.conj().T,
-        Mc_mmse=herm(eye - Sc.conj().T @ Fi_Sc),
-        Mp_mmse=herm(eye - Sp.conj().T @ Gi_Sp),
-    )
+    Pfull = P.full()
+    Sfull = Hh @ Pfull                                       # (n, N, N(K+1))
+    Spriv = Sfull[:, :, N:]
+    tr_full = float(np.vdot(Pfull, Pfull).real)
+    tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
+    F = herm(Sfull @ _h(Sfull)) + (s2 * tr_full + sigma_n2) * eye
+    G = herm(Spriv @ _h(Spriv)) + (s2 * tr_priv + sigma_n2) * eye
+    Sc = Sfull[:, :, :N]
+    Sp = Spriv.reshape(n, N, K, N)[np.arange(n), :, own, :]
+    # one factorization and solve pair for F^-1 Sc and G^-1 Sp of every user
+    S = np.concatenate([Sc, Sp])
+    X = cholesky_solve(np.concatenate([F, G]), S)
+    Mz = herm(eye - _h(S) @ X)
+    ld = cholesky_logdet(Mz)
+    D = _h(X)
+    return MseBundle(F, G, D[:n], D[n:], Mz[:n], Mz[n:], logdet_c=ld[:n], logdet_p=ld[n:])
 
 
-def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2):
-    return [mse_bundle(H_hat[k], sigma_e2[k], P, sigma_n2, k) for k in range(len(H_hat))]
+def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
+    """MMSE filters and error matrices for user k at the given precoders."""
+    return _bundles(np.asarray(H_hat_k)[None], [sigma_e2_k], P, sigma_n2, [k])[0]
 
 
-def f1_from_bundles(bundles) -> float:
+def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
+    """MMSE bundles of every user, stacked over users."""
+    return _bundles(H_hat, sigma_e2, P, sigma_n2, np.arange(len(H_hat)))
+
+
+def f1_from_bundles(bundles: MseBundle) -> float:
     """Smoothed max of common log-det MSEs plus the private log-det sum, in nats."""
-    lc = [cholesky_logdet(b.Mc_mmse) for b in bundles]
-    lp = [cholesky_logdet(b.Mp_mmse) for b in bundles]
-    return logsumexp(lc) + sum(lp)
+    return logsumexp(bundles.logdet_c) + float(np.sum(bundles.logdet_p))
 
 
 def objective_f1(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> float:
@@ -181,20 +214,13 @@ def objective_f1(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> float:
     return f1_from_bundles(all_bundles(H_hat, sigma_e2, P, sigma_n2))
 
 
-def weights(mse_bundles) -> list:
-    """Per-user weight matrices and the softmax split over common log-det MSEs."""
-    lc = np.array([cholesky_logdet(b.Mc_mmse) for b in mse_bundles])
+def weights(bundles: MseBundle) -> WeightBundle:
+    """Stacked weight matrices and the softmax split over common log-det MSEs."""
+    lc = bundles.logdet_c
     mu = np.exp(lc - logsumexp(lc))
-    out = []
-    for k, b in enumerate(mse_bundles):
-        out.append(
-            WeightBundle(
-                Wc=herm(mu[k] * pd_inverse(b.Mc_mmse)),
-                Wp=pd_inverse(b.Mp_mmse),
-                mu=float(mu[k]),
-            )
-        )
-    return out
+    K = len(mu)
+    inv = pd_inverse(np.concatenate([bundles.Mc_mmse, bundles.Mp_mmse]))
+    return WeightBundle(Wc=mu[:, None, None] * inv[:K], Wp=inv[K:], mu=mu)
 
 
 def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):

@@ -17,7 +17,6 @@ from .rates import (
     PrecoderSet,
     all_bundles,
     checked_real,
-    cholesky_solve,
     instantaneous_rates,
     mse_at_filters,
     mse_bundle,
@@ -25,7 +24,7 @@ from .rates import (
     objective_f2,
     weights,
 )
-from .solver import SolverConfig, _common_system, _private_system, run, solve_p3
+from .solver import SolverConfig, run, solve_p1, solve_p2, solve_p3
 
 
 @dataclass(frozen=True)
@@ -222,19 +221,11 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
         t = float(rng.uniform(0.2, 0.9))
         P = _random_precoders(rng, M, N, K, rho)
         bundles = all_bundles(H_hat, sig2, P, sn2)
-        wts = weights(bundles)
-        B, V, tr_p = _private_system(H_hat, sig2, [b.Dp for b in bundles], [w.Wp for w in wts])
-        lam1 = sn2 * tr_p / (rho * t)
-        Pp_bar = cholesky_solve(B + lam1 * np.eye(M), V)
-        Pp_cat = np.sqrt(rho * t) * Pp_bar / np.linalg.norm(Pp_bar)
-        P_mid = PrecoderSet(Pc=P.Pc, Pp=[q for q in np.split(Pp_cat, K, axis=1)], rho=rho)
+        Pp_cat, B, V = solve_p1(H_hat, sig2, bundles.Dp, weights(bundles).Wp, rho, t, sn2, system=True)
+        P_mid = PrecoderSet(Pc=P.Pc, Pp=np.split(Pp_cat, K, axis=1), rho=rho)
         bundles2 = all_bundles(H_hat, sig2, P_mid, sn2)
-        wts2 = weights(bundles2)
-        A, U, tr_c = _common_system(H_hat, sig2, [b.Dc for b in bundles2], [w.Wc for w in wts2])
-        cross = checked_real(np.trace(A @ Pp_cat @ Pp_cat.conj().T))
-        lam2 = (sn2 * tr_c + cross) / (rho * (1.0 - t))
-        Pc_bar = cholesky_solve(A + lam2 * np.eye(M), U)
-        Pc_norm = Pc_bar / np.linalg.norm(Pc_bar)
+        Pc, A, U = solve_p2(H_hat, sig2, bundles2.Dc, weights(bundles2).Wc, Pp_cat, rho, t, sn2, system=True)
+        Pc_norm = Pc / np.linalg.norm(Pc)
         Pp_norm = Pp_cat / np.linalg.norm(Pp_cat)
         t_star, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg)
         # independent dense evaluation of the same derivative

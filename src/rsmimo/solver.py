@@ -3,10 +3,15 @@
 Each outer iteration refreshes filters and weights, solves the private and
 common precoder blocks in closed form, then rebalances the common/private
 power split by bisection on the scalar split variable t.
+
+Channel estimates and private precoders are (K, M, N) arrays; the closed-form
+blocks work on the side-by-side M x NK matrix [P_1, ..., P_K] and accept
+per-user lists as well as stacks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +22,7 @@ from .rates import (
     checked_real,
     cholesky_solve,
     f1_from_bundles,
+    herm,
     weights,
 )
 
@@ -52,18 +58,26 @@ def _frob(X) -> float:
     return float(np.linalg.norm(X))
 
 
-def _split(Pp_cat, K):
-    return [np.ascontiguousarray(block) for block in np.split(Pp_cat, K, axis=1)]
+def _blocks(Pp_cat, K):
+    """Stacked (K, M, N) view of the side-by-side private precoders [P_1, ..., P_K]."""
+    M = Pp_cat.shape[0]
+    return Pp_cat.reshape(M, K, -1).transpose(1, 0, 2)
+
+
+def _all_private(P: PrecoderSet) -> PrecoderSet:
+    """Drop the common precoder and rescale the private ones to the full budget."""
+    scale = np.sqrt(P.rho / float(np.vdot(P.Pp, P.Pp).real))
+    return PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=scale * P.Pp, rho=P.rho)
 
 
 def initialize(H_hat, rho, sigma_e2_rep):
     """Power split t' = min(1, 1/(rho sigma_e2)) with a singular-space common
     precoder and equal-power matched private precoders; exact total power rho."""
-    K = len(H_hat)
-    M, N = H_hat[0].shape
+    H = np.asarray(H_hat)
+    K, M, N = H.shape
     if M < N:
         raise ValueError("need at least as many transmit antennas as receive antennas")
-    stack = np.concatenate(H_hat, axis=1)
+    stack = H.transpose(1, 0, 2).reshape(M, K * N)
     if _frob(stack) < 1e-12:
         raise ValueError("degenerate all-zero channel estimate")
     t0 = 1.0 if sigma_e2_rep == 0.0 else min(1.0, 1.0 / (rho * sigma_e2_rep))
@@ -72,75 +86,71 @@ def initialize(H_hat, rho, sigma_e2_rep):
     else:
         left, _, _ = np.linalg.svd(stack, full_matrices=False)
         Pc = np.sqrt(rho * (1.0 - t0) / N) * left[:, :N]
-    Pp = []
-    for Hk in H_hat:
-        norms = np.linalg.norm(Hk, axis=0)
-        if np.any(norms < 1e-12):
-            raise ValueError("degenerate channel estimate column")
-        Pp.append(np.sqrt(rho * t0 / (K * N)) * (Hk / norms))
+    norms = np.linalg.norm(H, axis=1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise ValueError("degenerate channel estimate column")
+    Pp = np.sqrt(rho * t0 / (K * N)) * (H / norms)
     return PrecoderSet(Pc=Pc, Pp=Pp, rho=float(rho)), t0
 
 
-def _private_system(H_hat, sigma_e2, Dp_list, Wp_list):
-    """Quadratic/linear terms of the private-block subproblem."""
-    M = H_hat[0].shape[0]
-    B = np.zeros((M, M), dtype=complex)
-    V_blocks = []
-    tr_wdd = 0.0
-    omega = 0.0
-    for Hk, s2, Dp, Wp in zip(H_hat, sigma_e2, Dp_list, Wp_list):
-        T = Hk @ Dp.conj().T
-        B += T @ Wp @ T.conj().T
-        V_blocks.append(T @ Wp)
-        quad = checked_real(np.trace(Wp @ Dp @ Dp.conj().T))
-        tr_wdd += quad
-        omega += s2 * quad
-    B = 0.5 * (B + B.conj().T) + omega * np.eye(M)
-    return B, np.concatenate(V_blocks, axis=1), tr_wdd
+def _block_system(H_hat, sigma_e2, D, W):
+    """Quadratic and linear terms of one precoder block's subproblem.
+
+    With T_k = H_k D_k^H, returns A = herm(sum_k T_k W_k T_k^H) + omega I where
+    omega = sum_k sigma_e2[k] tr(W_k D_k D_k^H), the per-user linear terms
+    T_k W_k stacked (K, M, N), and sum_k tr(W_k D_k D_k^H). The private block
+    uses the linear terms side by side (M x NK), the common block their sum.
+    """
+    H, D, W = np.asarray(H_hat), np.asarray(D), np.asarray(W)
+    M = H.shape[1]
+    Dh = D.conj().swapaxes(1, 2)
+    T = H @ Dh
+    TW = T @ W
+    quad = checked_real(np.einsum("kij,kji->k", W, D @ Dh))
+    A = herm(np.einsum("kmn,kln->ml", TW, T.conj())) + float(np.dot(sigma_e2, quad)) * np.eye(M)
+    return A, TW, float(np.sum(quad))
 
 
-def _common_system(H_hat, sigma_e2, Dc_list, Wc_list):
-    """Quadratic/linear terms of the common-block subproblem."""
-    M = H_hat[0].shape[0]
-    A = np.zeros((M, M), dtype=complex)
-    U = np.zeros((M, H_hat[0].shape[1]), dtype=complex)
-    tr_wdd = 0.0
-    omega = 0.0
-    for Hk, s2, Dc, Wc in zip(H_hat, sigma_e2, Dc_list, Wc_list):
-        T = Hk @ Dc.conj().T
-        A += T @ Wc @ T.conj().T
-        U += T @ Wc
-        quad = checked_real(np.trace(Wc @ Dc @ Dc.conj().T))
-        tr_wdd += quad
-        omega += s2 * quad
-    A = 0.5 * (A + A.conj().T) + omega * np.eye(M)
-    return A, U, tr_wdd
+def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2, *, system=False):
+    """Closed-form private precoders at power rho*t_star, concatenated M x NK.
 
-
-def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
-    """Closed-form private precoders at power rho*t_star, concatenated M x NK."""
+    With system=True returns (Pp_cat, B, V), B and V being the block's
+    quadratic and side-by-side linear terms that the power split needs.
+    """
     if not (0.0 < t_star <= 1.0):
         raise ValueError("t_star must lie in (0, 1]")
-    B, V, tr_wdd = _private_system(H_hat, sigma_e2, Dp_list, Wp_list)
+    B, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dp_list, Wp_list)
+    V = np.concatenate(TW, axis=1)
     lam1 = sigma_n2 * tr_wdd / (rho * t_star)
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")
     Pp_bar = cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
-    return np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar)
+    Pp_cat = np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar)
+    return (Pp_cat, B, V) if system else Pp_cat
 
 
-def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2, t_clamp=1e-6):
-    """Closed-form common precoder at power rho*(1 - t_star), M x N."""
-    M, N = H_hat[0].shape
-    if t_star >= 1.0 - t_clamp:
-        return np.zeros((M, N), dtype=complex)
-    A, U, tr_wdd = _common_system(H_hat, sigma_e2, Dc_list, Wc_list)
-    cross = checked_real(np.trace(A @ Pp_cat @ Pp_cat.conj().T))
-    lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
-    if lam2 <= 0.0:
-        raise ValueError("non-positive common multiplier; filters are degenerate")
-    Pc_bar = cholesky_solve(A + lam2 * np.eye(M), U)
-    return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / _frob(Pc_bar)
+def solve_p2(
+    H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2, t_clamp=1e-6, *, system=False
+):
+    """Closed-form common precoder at power rho*(1 - t_star), M x N.
+
+    The precoder is zero when t_star >= 1 - t_clamp leaves no common power, or
+    when the common direction collapses (unscaled norm below 1e-12). With
+    system=True returns (Pc, A, U), the block's quadratic and linear terms.
+    """
+    A, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dc_list, Wc_list)
+    U = TW.sum(axis=0)
+    Pc = np.zeros_like(U)
+    if t_star < 1.0 - t_clamp:
+        cross = checked_real(np.vdot(Pp_cat, A @ Pp_cat))
+        lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
+        if lam2 <= 0.0:
+            raise ValueError("non-positive common multiplier; filters are degenerate")
+        Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
+        scale = _frob(Pc_bar)
+        if scale >= 1e-12:
+            Pc = np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale
+    return (Pc, A, U) if system else Pc
 
 
 def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
@@ -149,17 +159,16 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
     Returns (t_star, flag) where flag is '' for an interior root and 'low' or
     'high' when the derivative does not change sign inside the clamped interval.
     """
-    a = checked_real(np.trace(U.conj().T @ Pc_norm))
-    b = checked_real(np.trace(V.conj().T @ Pp_norm))
+    # tr(U^H Pc), tr(V^H Pp), tr((A + B) Pp Pp^H) and tr(A Pc Pc^H)
+    traces = [np.vdot(U, Pc_norm), np.vdot(V, Pp_norm)]
+    traces += [np.vdot(Pp_norm, (A + B) @ Pp_norm), np.vdot(Pc_norm, A @ Pc_norm)]
+    a, b, quad_p, quad_c = checked_real(traces).tolist()
     if a <= 0.0 or b <= 0.0:
         raise ValueError("filter/precoder alignment traces must be positive")
-    c = rho * (
-        checked_real(np.trace((A + B) @ Pp_norm @ Pp_norm.conj().T))
-        - checked_real(np.trace(A @ Pc_norm @ Pc_norm.conj().T))
-    )
+    c = rho * (quad_p - quad_c)
 
     def deriv(t):
-        return np.sqrt(rho / (1.0 - t)) * a - np.sqrt(rho / t) * b + c
+        return math.sqrt(rho / (1.0 - t)) * a - math.sqrt(rho / t) * b + c
 
     lo, hi = cfg.t_clamp, 1.0 - cfg.t_clamp
     d_lo, d_hi = deriv(lo), deriv(hi)
@@ -177,10 +186,6 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
     return 0.5 * (lo + hi), ""
 
 
-def _objective(H_hat, sigma_e2, P, sigma_n2):
-    return f1_from_bundles(all_bundles(H_hat, sigma_e2, P, sigma_n2))
-
-
 def _check_power(P: PrecoderSet, rho, where):
     if abs(P.power() - rho) > 1e-9 * rho:
         raise RuntimeError(f"{where}: power constraint violated ({P.power():.12g} vs {rho:.12g})")
@@ -193,25 +198,25 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     sweep whose relative improvement falls below obj_tol (or which would
     increase the objective, in which case it is discarded) ends the run.
     `force_sdma` pins the common precoder to zero and t to 1 throughout.
+    The bundles behind each accepted objective value serve the next sweep's
+    private block, so a sweep computes bundles twice (once if all-private).
     """
-    K = len(H_hat)
+    H = np.asarray(H_hat)
+    K = len(H)
     if len(sigma_e2) != K:
         raise ValueError("per-user error variance count does not match user count")
     if rho <= 0 or sigma_n2 <= 0:
         raise ValueError("rho and sigma_n2 must be positive")
-    if not all(np.all(np.isfinite(Hk)) for Hk in H_hat):
+    if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
-    P, t = initialize(H_hat, rho, max(sigma_e2))
+    P, t = initialize(H, rho, max(sigma_e2))
     if force_sdma and t < 1.0:
-        scale = np.sqrt(rho / sum(float(np.sum(np.abs(Q) ** 2)) for Q in P.Pp))
-        P = PrecoderSet(
-            Pc=np.zeros_like(P.Pc), Pp=[scale * Q for Q in P.Pp], rho=float(rho)
-        )
-        t = 1.0
+        P, t = _all_private(P), 1.0
     sdma_locked = t >= 1.0
     _check_power(P, rho, "initialization")
 
-    f_cur = _objective(H_hat, sigma_e2, P, sigma_n2)
+    bundles = all_bundles(H, sigma_e2, P, sigma_n2)
+    f_cur = f1_from_bundles(bundles)
     trace = [f_cur]
     converged = False
     boundary_hits = []
@@ -220,42 +225,24 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     for it in range(cfg.max_iters):
         iterations = it + 1
         try:
-            bundles = all_bundles(H_hat, sigma_e2, P, sigma_n2)
-            wts = weights(bundles)
-            B, V, tr_p = _private_system(
-                H_hat, sigma_e2, [bb.Dp for bb in bundles], [w.Wp for w in wts]
-            )
-            lam1 = sigma_n2 * tr_p / (rho * t)
-            if lam1 <= 0.0:
-                raise ValueError("non-positive private multiplier")
-            Pp_bar = cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
-            Pp_cat = np.sqrt(rho * t) * Pp_bar / _frob(Pp_bar)
-
+            Wp = weights(bundles).Wp
+            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, Wp, rho, t, sigma_n2, system=True)
+            Pp = _blocks(Pp_cat, K)
+            t_new = 1.0
             if sdma_locked:
-                P_new = PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=_split(Pp_cat, K), rho=float(rho))
-                t_new = 1.0
+                P_new = PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=Pp, rho=P.rho)
             else:
-                P_mid = PrecoderSet(Pc=P.Pc, Pp=_split(Pp_cat, K), rho=float(rho))
-                bundles2 = all_bundles(H_hat, sigma_e2, P_mid, sigma_n2)
-                wts2 = weights(bundles2)
-                A, U, tr_c = _common_system(
-                    H_hat, sigma_e2, [bb.Dc for bb in bundles2], [w.Wc for w in wts2]
+                mid = all_bundles(H, sigma_e2, PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho), sigma_n2)
+                # t < 1 here, so no clamp: a zero Pc means its direction collapsed
+                Pc_new, A, U = solve_p2(
+                    H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2, 0.0, system=True
                 )
-                cross = checked_real(np.trace(A @ Pp_cat @ Pp_cat.conj().T))
-                lam2 = (sigma_n2 * tr_c + cross) / (rho * (1.0 - t))
-                Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
-                pc_scale = _frob(Pc_bar)
-                if pc_scale < 1e-12:
-                    # common direction collapsed: continue as an all-private design
+                if not Pc_new.any():
+                    # continue as an all-private design
                     sdma_locked = True
                     boundary_hits.append((it, "sdma"))
-                    scale = np.sqrt(rho) / _frob(Pp_cat)
-                    P_new = PrecoderSet(
-                        Pc=np.zeros_like(P.Pc), Pp=_split(scale * Pp_cat, K), rho=float(rho)
-                    )
-                    t_new = 1.0
+                    P_new = _all_private(PrecoderSet(Pc=Pc_new, Pp=Pp, rho=P.rho))
                 else:
-                    Pc_new = np.sqrt(rho * (1.0 - t)) * Pc_bar / pc_scale
                     Pc_norm = Pc_new / _frob(Pc_new)
                     Pp_norm = Pp_cat / _frob(Pp_cat)
                     t_new, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg)
@@ -263,11 +250,12 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
                         boundary_hits.append((it, flag))
                     P_new = PrecoderSet(
                         Pc=np.sqrt(rho * (1.0 - t_new)) * Pc_norm,
-                        Pp=_split(np.sqrt(rho * t_new) * Pp_norm, K),
-                        rho=float(rho),
+                        Pp=_blocks(np.sqrt(rho * t_new) * Pp_norm, K),
+                        rho=P.rho,
                     )
             _check_power(P_new, rho, f"iteration {it}")
-            f_new = _objective(H_hat, sigma_e2, P_new, sigma_n2)
+            bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
+            f_new = f1_from_bundles(bundles_new)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
 
@@ -275,7 +263,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             # the sweep overshot a fixed point; keep the previous iterate
             converged = True
             break
-        P, t = P_new, t_new
+        P, t, bundles = P_new, t_new, bundles_new
         if cfg.track_trace:
             trace.append(f_new)
         else:
@@ -288,9 +276,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
 
     if not sdma_locked and t > 1.0 - 1e-4:
         # nearly all-private solution: drop the residual common component
-        scale = np.sqrt(rho / sum(float(np.sum(np.abs(Q) ** 2)) for Q in P.Pp))
-        P = PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=[scale * Q for Q in P.Pp], rho=float(rho))
-        t = 1.0
+        P, t = _all_private(P), 1.0
         _check_power(P, rho, "final rebalance")
 
     return SolverState(

@@ -246,3 +246,122 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
             break
         prev = cur
     return P, prev
+
+
+def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
+                    bisect_tol=1e-8, t_clamp=1e-6, force_sdma=False):
+    """The alternating robust RS design written one user at a time.
+
+    Same updates and acceptance rule as the library's solver, but every
+    per-user MSE matrix, weight and block term is built in a Python loop with
+    dense inverses and slogdet. Returns (objective trace, iterations, t, Pc, Pp).
+    """
+    K = len(H_hat)
+    M, N = H_hat[0].shape
+    eye_n, eye_m = np.eye(N), np.eye(M)
+
+    def herm(X):
+        return 0.5 * (X + X.conj().T)
+
+    def bundles(Pc, Pp):
+        Pfull = np.concatenate([Pc] + Pp, axis=1)
+        Ppriv = np.concatenate(Pp, axis=1)
+        tr_full = np.sum(np.abs(Pfull) ** 2)
+        tr_priv = np.sum(np.abs(Ppriv) ** 2)
+        out = []
+        for k in range(K):
+            Hh = H_hat[k].conj().T
+            F = Hh @ Pfull @ Pfull.conj().T @ H_hat[k] + (sigma_e2[k] * tr_full + sigma_n2) * eye_n
+            G = Hh @ Ppriv @ Ppriv.conj().T @ H_hat[k] + (sigma_e2[k] * tr_priv + sigma_n2) * eye_n
+            Sc, Sp = Hh @ Pc, Hh @ Pp[k]
+            Dc = Sc.conj().T @ np.linalg.inv(herm(F))
+            Dp = Sp.conj().T @ np.linalg.inv(herm(G))
+            out.append((Dc, Dp, herm(eye_n - Dc @ Sc), herm(eye_n - Dp @ Sp)))
+        return out
+
+    def objective(bs):
+        lc = np.array([np.linalg.slogdet(Mc)[1] for _, _, Mc, _ in bs])
+        lp = sum(np.linalg.slogdet(Mp)[1] for _, _, _, Mp in bs)
+        return float(np.log(np.sum(np.exp(lc - lc.max()))) + lc.max() + lp)
+
+    def block(bs, common):
+        lc = np.array([np.linalg.slogdet(Mc)[1] for _, _, Mc, _ in bs])
+        mu = np.exp(lc - lc.max()) / np.sum(np.exp(lc - lc.max()))
+        Q = np.zeros((M, M), dtype=complex)
+        lin, tr_wdd, omega = [], 0.0, 0.0
+        for k, (Dc, Dp, Mc, Mp) in enumerate(bs):
+            D, W = (Dc, mu[k] * np.linalg.inv(Mc)) if common else (Dp, np.linalg.inv(Mp))
+            T = H_hat[k] @ D.conj().T
+            Q += T @ W @ T.conj().T
+            lin.append(T @ W)
+            quad = np.trace(W @ D @ D.conj().T).real
+            tr_wdd += quad
+            omega += sigma_e2[k] * quad
+        return herm(Q) + omega * eye_m, lin, tr_wdd
+
+    def all_private(Pp):
+        scale = np.sqrt(rho / sum(np.sum(np.abs(Q) ** 2) for Q in Pp))
+        return np.zeros((M, N), dtype=complex), [scale * Q for Q in Pp]
+
+    # initialization: singular-space common precoder, matched private ones
+    t0 = 1.0 if max(sigma_e2) == 0.0 else min(1.0, 1.0 / (rho * max(sigma_e2)))
+    left = np.linalg.svd(np.concatenate(H_hat, axis=1), full_matrices=False)[0]
+    Pc = np.sqrt(rho * (1.0 - t0) / N) * left[:, :N] if t0 < 1.0 else np.zeros((M, N), dtype=complex)
+    Pp = [np.sqrt(rho * t0 / (K * N)) * Hk / np.linalg.norm(Hk, axis=0) for Hk in H_hat]
+    t = t0
+    if force_sdma and t < 1.0:
+        (Pc, Pp), t = all_private(Pp), 1.0
+    locked = t >= 1.0
+    f_cur = objective(bundles(Pc, Pp))
+    trace, iterations = [f_cur], 0
+    for it in range(max_iters):
+        iterations = it + 1
+        B, lin, tr_p = block(bundles(Pc, Pp), common=False)
+        V = np.concatenate(lin, axis=1)
+        X = np.linalg.inv(B + sigma_n2 * tr_p / (rho * t) * eye_m) @ V
+        Pp_cat = np.sqrt(rho * t) * X / np.linalg.norm(X)
+        Pp_new = np.split(Pp_cat, K, axis=1)
+        t_new = 1.0
+        if locked:
+            Pc_new = np.zeros((M, N), dtype=complex)
+        else:
+            A, lin, tr_c = block(bundles(Pc, Pp_new), common=True)
+            U = sum(lin)
+            cross = np.trace(A @ Pp_cat @ Pp_cat.conj().T).real
+            Y = np.linalg.inv(A + (sigma_n2 * tr_c + cross) / (rho * (1.0 - t)) * eye_m) @ U
+            if np.linalg.norm(Y) < 1e-12:
+                locked = True
+                Pc_new, Pp_new = all_private(Pp_new)
+            else:
+                Pc_n, Pp_n = Y / np.linalg.norm(Y), Pp_cat / np.linalg.norm(Pp_cat)
+                a = np.trace(U.conj().T @ Pc_n).real
+                b = np.trace(V.conj().T @ Pp_n).real
+                c = rho * (np.trace((A + B) @ Pp_n @ Pp_n.conj().T).real
+                           - np.trace(A @ Pc_n @ Pc_n.conj().T).real)
+
+                def deriv(x):
+                    return np.sqrt(rho / (1.0 - x)) * a - np.sqrt(rho / x) * b + c
+
+                lo, hi = t_clamp, 1.0 - t_clamp
+                if deriv(lo) >= 0.0:
+                    t_new = lo
+                elif deriv(hi) <= 0.0:
+                    t_new = hi
+                else:
+                    while hi - lo > bisect_tol:
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if deriv(mid) < 0.0 else (lo, mid)
+                    t_new = 0.5 * (lo + hi)
+                Pc_new = np.sqrt(rho * (1.0 - t_new)) * Pc_n
+                Pp_new = np.split(np.sqrt(rho * t_new) * Pp_n, K, axis=1)
+        f_new = objective(bundles(Pc_new, Pp_new))
+        if f_new > f_cur:
+            break
+        Pc, Pp, t = Pc_new, Pp_new, t_new
+        trace.append(f_new)
+        if f_cur - f_new < obj_tol * abs(f_cur):
+            break
+        f_cur = f_new
+    if not locked and t > 1.0 - 1e-4:
+        (Pc, Pp), t = all_private(Pp), 1.0
+    return trace, iterations, t, Pc, Pp

@@ -97,6 +97,15 @@ def test_random_codebook_entries_semi_unitary():
         np.testing.assert_allclose(C.conj().T @ C, np.eye(2), atol=1e-12)
 
 
+def test_random_codebook_matches_per_codeword_qr_loop():
+    # one batched draw and QR consume the stream exactly as one QR per codeword
+    book = random_codebook(6, 2, 5, np.random.default_rng(13))
+    rng = np.random.default_rng(13)
+    for C in book.entries:
+        Q, _ = np.linalg.qr(complex_gaussian(rng, (6, 2)))
+        np.testing.assert_array_equal(C, Q)
+
+
 @pytest.mark.parametrize("bits", [0, 15])
 def test_random_codebook_rejects_bad_bits(bits):
     with pytest.raises(ValueError):

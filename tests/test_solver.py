@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_instance
-from oracles import fd_gradient, grid_scan_root
+from oracles import fd_gradient, grid_scan_root, per_user_solver
 from rsmimo.rates import PrecoderSet, all_bundles, expectation_quadratic, objective_f1, weights
 from rsmimo.solver import (
     SolverConfig,
-    _common_system,
-    _private_system,
+    _block_system,
     initialize,
     run,
     solve_p1,
@@ -108,7 +107,8 @@ def test_private_block_power_and_kkt():
     Pp_cat = solve_p1(H_hat, s2, Dp, Wp, rho, t, sn2)
     assert float(np.sum(np.abs(Pp_cat) ** 2)) == pytest.approx(rho * t, rel=1e-10)
 
-    B, V, tr_wdd = _private_system(H_hat, s2, Dp, Wp)
+    B, TW, tr_wdd = _block_system(H_hat, s2, Dp, Wp)
+    V = np.concatenate(TW, axis=1)
     lam1 = sn2 * tr_wdd / (rho * t)
     assert lam1 > 0.0
     Pbar = np.linalg.solve(B + lam1 * np.eye(6), V)  # unnormalized stationary point
@@ -143,7 +143,7 @@ def test_error_term_scalar_shortcut_matches_diagonal_operator():
     rng = make_rng(28)
     H_hat, s2 = random_instance(rng, 6, 2, 3, 0.25)
     Dp, Wp = random_filters(rng, 6, 2, 3)
-    B, _, _ = _private_system(H_hat, s2, Dp, Wp)
+    B, _, _ = _block_system(H_hat, s2, Dp, Wp)
     omega_direct = np.zeros((6, 6), dtype=complex)
     quad_total = np.zeros((6, 6), dtype=complex)
     for k in range(3):
@@ -171,7 +171,8 @@ def test_common_block_power_and_kkt():
     Pc = solve_p2(H_hat, s2, Dc, Wc, Pp_cat, rho, t, sn2)
     assert float(np.sum(np.abs(Pc) ** 2)) == pytest.approx(rho * (1.0 - t), rel=1e-10)
 
-    A, U, tr_wdd = _common_system(H_hat, s2, Dc, Wc)
+    A, TW, tr_wdd = _block_system(H_hat, s2, Dc, Wc)
+    U = TW.sum(axis=0)
     cross = np.trace(A @ Pp_cat @ Pp_cat.conj().T).real
     lam2 = (sn2 * tr_wdd + cross) / (rho * (1.0 - t))
     assert lam2 > 0.0
@@ -202,8 +203,9 @@ def _split_inputs_from_state(H_hat, sigma_e2, state, sigma_n2=1.0):
     """Rebuild the split-search inputs at a solved iterate."""
     bundles = all_bundles(H_hat, sigma_e2, state.P, sigma_n2)
     wts = weights(bundles)
-    B, V, _ = _private_system(H_hat, sigma_e2, [b.Dp for b in bundles], [w.Wp for w in wts])
-    A, U, _ = _common_system(H_hat, sigma_e2, [b.Dc for b in bundles], [w.Wc for w in wts])
+    B, TW_p, _ = _block_system(H_hat, sigma_e2, [b.Dp for b in bundles], [w.Wp for w in wts])
+    A, TW_c, _ = _block_system(H_hat, sigma_e2, [b.Dc for b in bundles], [w.Wc for w in wts])
+    V, U = np.concatenate(TW_p, axis=1), TW_c.sum(axis=0)
     Pc_norm = state.P.Pc / np.linalg.norm(state.P.Pc)
     Pp_cat = state.P.private()
     Pp_norm = Pp_cat / np.linalg.norm(Pp_cat)
@@ -358,3 +360,36 @@ def test_all_private_solution_is_stationary_on_power_sphere():
     g_tan = g - radial * Pp_cat
     ratio = np.linalg.norm(g_tan) / np.linalg.norm(g)
     assert ratio <= 1e-3
+
+
+def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
+    # the bundles behind an accepted objective value feed the next sweep's
+    # private block: two bundle computations per sweep, one when all-private
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return all_bundles(*args)
+
+    monkeypatch.setattr("rsmimo.solver.all_bundles", counting)
+    rng = make_rng(39)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 100.0, 1.0)
+    assert state.t < 1.0 and not state.boundary_hits
+    assert len(calls) == 1 + 2 * state.iterations
+    calls.clear()
+    state = run(H_hat, s2, 100.0, 1.0, force_sdma=True)
+    assert len(calls) == 1 + state.iterations
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+@pytest.mark.parametrize("force_sdma", [False, True])
+def test_run_matches_per_user_reference_loop(seed, force_sdma):
+    rng = make_rng(seed)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
+    trace, iterations, t, Pc, Pp = per_user_solver(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
+    assert state.iterations == iterations
+    np.testing.assert_allclose(state.objective_trace, trace, rtol=0.0, atol=1e-10)
+    assert state.t == pytest.approx(t, abs=1e-10)
+    np.testing.assert_allclose(state.P.full(), np.concatenate([Pc] + list(Pp), axis=1), rtol=0.0, atol=1e-8)
