@@ -75,15 +75,16 @@ def _check_semi_unitary(X, tol=1e-8):
         raise ValueError("matrix is not semi-unitary within tolerance")
 
 
-def chordal_distance(Htilde, C) -> float:
-    """Subspace distance N - tr(Htilde^H C C^H Htilde) between semi-unitary matrices."""
+def chordal_distance(Htilde, C):
+    """Subspace distance N - ||Htilde^H C||_F^2 between semi-unitary matrices.
+
+    C may be one M x N matrix (a float is returned) or a stack (..., M, N) of
+    them (an array of distances is returned).
+    """
     _check_semi_unitary(Htilde)
     _check_semi_unitary(C)
-    N = Htilde.shape[1]
-    t = np.trace(Htilde.conj().T @ C @ C.conj().T @ Htilde)
-    if abs(t.imag) > 1e-10:
-        raise ValueError(f"trace has non-negligible imaginary part {t.imag:.3e}")
-    return max(float(N - t.real), 0.0)
+    proj = Htilde.conj().T @ C
+    return np.maximum(Htilde.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(-2, -1)), 0.0)
 
 
 def random_codebook(M, N, bits, rng) -> Codebook:
@@ -114,12 +115,7 @@ def quantize_channel(H, codebook: Codebook):
     entries = codebook.entries
     if len(entries) == 0:
         raise ValueError("codebook is empty")
-    Htilde = dominant_subspace(H)
-    C = np.asarray(entries)
-    _check_semi_unitary(C)
-    # chordal distances N - ||Htilde^H C_i||_F^2 to every codeword at once
-    proj = Htilde.conj().T @ C
-    dist = np.maximum(Htilde.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(1, 2)), 0.0)
+    dist = chordal_distance(dominant_subspace(H), np.asarray(entries))
     best = int(np.argmin(dist))
     return best, entries[best], float(dist[best])
 

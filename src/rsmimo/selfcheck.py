@@ -221,10 +221,10 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
         t = float(rng.uniform(0.2, 0.9))
         P = _random_precoders(rng, M, N, K, rho)
         bundles = all_bundles(H_hat, sig2, P, sn2)
-        Pp_cat, B, V = solve_p1(H_hat, sig2, bundles.Dp, weights(bundles).Wp, rho, t, sn2, system=True)
+        Pp_cat, B, V = solve_p1(H_hat, sig2, bundles.Dp, weights(bundles).Wp, rho, t, sn2)
         P_mid = PrecoderSet(Pc=P.Pc, Pp=np.split(Pp_cat, K, axis=1), rho=rho)
         bundles2 = all_bundles(H_hat, sig2, P_mid, sn2)
-        Pc, A, U = solve_p2(H_hat, sig2, bundles2.Dc, weights(bundles2).Wc, Pp_cat, rho, t, sn2, system=True)
+        Pc, A, U = solve_p2(H_hat, sig2, bundles2.Dc, weights(bundles2).Wc, Pp_cat, rho, t, sn2)
         Pc_norm = Pc / np.linalg.norm(Pc)
         Pp_norm = Pp_cat / np.linalg.norm(Pp_cat)
         t_star, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg)

@@ -54,6 +54,10 @@ class SolverState:
     boundary_hits: tuple = field(default=())
 
 
+class CommonCollapse(ValueError):
+    """The closed-form common precoder direction vanished."""
+
+
 def _frob(X) -> float:
     return float(np.linalg.norm(X))
 
@@ -111,11 +115,11 @@ def _block_system(H_hat, sigma_e2, D, W):
     return A, TW, float(np.sum(quad))
 
 
-def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2, *, system=False):
+def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     """Closed-form private precoders at power rho*t_star, concatenated M x NK.
 
-    With system=True returns (Pp_cat, B, V), B and V being the block's
-    quadratic and side-by-side linear terms that the power split needs.
+    Returns (Pp_cat, B, V), B and V being the block's quadratic and
+    side-by-side linear terms that the power split needs.
     """
     if not (0.0 < t_star <= 1.0):
         raise ValueError("t_star must lie in (0, 1]")
@@ -125,32 +129,29 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2, *, system
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")
     Pp_bar = cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
-    Pp_cat = np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar)
-    return (Pp_cat, B, V) if system else Pp_cat
+    return np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar), B, V
 
 
-def solve_p2(
-    H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2, t_clamp=1e-6, *, system=False
-):
+def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2, t_clamp=1e-6):
     """Closed-form common precoder at power rho*(1 - t_star), M x N.
 
-    The precoder is zero when t_star >= 1 - t_clamp leaves no common power, or
-    when the common direction collapses (unscaled norm below 1e-12). With
-    system=True returns (Pc, A, U), the block's quadratic and linear terms.
+    Returns (Pc, A, U), A and U being the block's quadratic and linear terms.
+    Pc is zero when t_star >= 1 - t_clamp leaves no common power. Raises
+    CommonCollapse when the common direction vanishes (norm below 1e-12).
     """
     A, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dc_list, Wc_list)
     U = TW.sum(axis=0)
-    Pc = np.zeros_like(U)
-    if t_star < 1.0 - t_clamp:
-        cross = checked_real(np.vdot(Pp_cat, A @ Pp_cat))
-        lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
-        if lam2 <= 0.0:
-            raise ValueError("non-positive common multiplier; filters are degenerate")
-        Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
-        scale = _frob(Pc_bar)
-        if scale >= 1e-12:
-            Pc = np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale
-    return (Pc, A, U) if system else Pc
+    if t_star >= 1.0 - t_clamp:
+        return np.zeros_like(U), A, U
+    cross = checked_real(np.vdot(Pp_cat, A @ Pp_cat))
+    lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
+    if lam2 <= 0.0:
+        raise ValueError("non-positive common multiplier; filters are degenerate")
+    Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
+    scale = _frob(Pc_bar)
+    if scale < 1e-12:
+        raise CommonCollapse("common precoder direction collapsed")
+    return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
 
 
 def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
@@ -226,22 +227,23 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         iterations = it + 1
         try:
             Wp = weights(bundles).Wp
-            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, Wp, rho, t, sigma_n2, system=True)
+            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, Wp, rho, t, sigma_n2)
             Pp = _blocks(Pp_cat, K)
             t_new = 1.0
             if sdma_locked:
                 P_new = PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=Pp, rho=P.rho)
             else:
                 mid = all_bundles(H, sigma_e2, PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho), sigma_n2)
-                # t < 1 here, so no clamp: a zero Pc means its direction collapsed
-                Pc_new, A, U = solve_p2(
-                    H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2, 0.0, system=True
-                )
-                if not Pc_new.any():
+                try:
+                    # t < 1 here, so no clamp
+                    Pc_new, A, U = solve_p2(
+                        H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2, 0.0
+                    )
+                except CommonCollapse:
                     # continue as an all-private design
                     sdma_locked = True
                     boundary_hits.append((it, "sdma"))
-                    P_new = _all_private(PrecoderSet(Pc=Pc_new, Pp=Pp, rho=P.rho))
+                    P_new = _all_private(PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho))
                 else:
                     Pc_norm = Pc_new / _frob(Pc_new)
                     Pp_norm = Pp_cat / _frob(Pp_cat)

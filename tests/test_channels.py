@@ -90,6 +90,19 @@ def test_chordal_distance_rejects_non_semi_unitary():
         chordal_distance(X, complex_gaussian(rng, (6, 2)))
 
 
+
+def test_chordal_distance_of_a_codeword_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(5)
+    X, _ = np.linalg.qr(complex_gaussian(rng, (6, 2)))
+    book = random_codebook(6, 2, 4, rng)
+    dist = chordal_distance(X, np.asarray(book.entries))
+    assert dist.shape == (16,)
+    for d, C in zip(dist, book.entries):
+        assert d == pytest.approx(chordal_distance(X, C), abs=1e-14)
+        assert abs(d - chordal_distance_svd(X, C)) < 1e-10
+    with pytest.raises(ValueError):
+        chordal_distance(X, np.stack([book.entries[0], complex_gaussian(rng, (6, 2))]))
+
 def test_random_codebook_entries_semi_unitary():
     cb = random_codebook(6, 2, 4, np.random.default_rng(3))
     assert cb.bits == 4 and len(cb.entries) == 16

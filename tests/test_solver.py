@@ -8,6 +8,7 @@ from conftest import make_rng, random_instance
 from oracles import fd_gradient, grid_scan_root, per_user_solver
 from rsmimo.rates import PrecoderSet, all_bundles, expectation_quadratic, objective_f1, weights
 from rsmimo.solver import (
+    CommonCollapse,
     SolverConfig,
     _block_system,
     initialize,
@@ -104,7 +105,7 @@ def test_private_block_power_and_kkt():
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.2)
     Dp, Wp = random_filters(rng, 6, 2, 2)
     rho, t, sn2 = 50.0, 0.6, 1.0
-    Pp_cat = solve_p1(H_hat, s2, Dp, Wp, rho, t, sn2)
+    Pp_cat, _, _ = solve_p1(H_hat, s2, Dp, Wp, rho, t, sn2)
     assert float(np.sum(np.abs(Pp_cat) ** 2)) == pytest.approx(rho * t, rel=1e-10)
 
     B, TW, tr_wdd = _block_system(H_hat, s2, Dp, Wp)
@@ -167,8 +168,8 @@ def test_common_block_power_and_kkt():
     Dc, Wc = random_filters(rng, 6, 2, 2)
     Dp, Wp = random_filters(rng, 6, 2, 2)
     rho, t, sn2 = 50.0, 0.6, 1.0
-    Pp_cat = solve_p1(H_hat, s2, Dp, Wp, rho, t, sn2)
-    Pc = solve_p2(H_hat, s2, Dc, Wc, Pp_cat, rho, t, sn2)
+    Pp_cat, _, _ = solve_p1(H_hat, s2, Dp, Wp, rho, t, sn2)
+    Pc, _, _ = solve_p2(H_hat, s2, Dc, Wc, Pp_cat, rho, t, sn2)
     assert float(np.sum(np.abs(Pc) ** 2)) == pytest.approx(rho * (1.0 - t), rel=1e-10)
 
     A, TW, tr_wdd = _block_system(H_hat, s2, Dc, Wc)
@@ -192,9 +193,40 @@ def test_common_block_zeroes_out_at_full_private_split():
     rng = make_rng(30)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.2)
     Dc, Wc = random_filters(rng, 6, 2, 2)
-    Pc = solve_p2(H_hat, s2, Dc, Wc, np.zeros((6, 4), dtype=complex), 50.0, 1.0, 1.0)
+    Pc, _, _ = solve_p2(H_hat, s2, Dc, Wc, np.zeros((6, 4), dtype=complex), 50.0, 1.0, 1.0)
     assert np.all(Pc == 0.0)
 
+
+
+def test_common_block_raises_when_its_direction_collapses():
+    # a mirrored user cancels the first one's linear term, so U = 0 exactly
+    rng = make_rng(31)
+    H_hat, s2 = random_instance(rng, 6, 2, 1, 0.2)
+    Dc, Wc = random_filters(rng, 6, 2, 1)
+    Dp, Wp = random_filters(rng, 6, 2, 2)
+    H2, s2 = [H_hat[0], -H_hat[0]], s2 * 2
+    Pp_cat, _, _ = solve_p1(H2, s2, Dp, Wp, 50.0, 0.6, 1.0)
+    with pytest.raises(CommonCollapse):
+        solve_p2(H2, s2, Dc * 2, Wc * 2, Pp_cat, 50.0, 0.6, 1.0)
+
+
+def test_run_continues_all_private_after_common_collapse(monkeypatch):
+    rng = make_rng(32)
+    H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
+    rho = 50.0
+    calls = []
+
+    def collapse(*args):
+        calls.append(args)
+        raise CommonCollapse("synthetic collapse")
+
+    monkeypatch.setattr("rsmimo.solver.solve_p2", collapse)
+    state = run(H_hat, s2, rho, 1.0)
+    assert len(calls) == 1
+    assert state.boundary_hits == ((0, "sdma"),)
+    assert state.P.power() == pytest.approx(rho, rel=1e-9)
+    assert state.iterations > 1 and state.t == 1.0
+    assert not state.P.Pc.any()
 
 # -------------------------------------------------------------- power split
 
