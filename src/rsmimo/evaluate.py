@@ -186,33 +186,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"first failure: {failures[0]}"
         )
     return ExperimentResult(
-        config=cfg, records=records, cells=_summarize(cfg, records, failures), failures=failures
+        config=cfg, records=records, cells=_summarize(cfg, items, outputs), failures=failures
     )
 
 
-def _summarize(cfg: ExperimentConfig, records, failures):
+def _summarize(cfg: ExperimentConfig, items, outputs):
+    """Per-cell statistics in grid order.
+
+    Records and failures are grouped in one pass over the work items, keyed
+    on the item's grid indices and the scheme; within a cell they keep the
+    order in which the items ran.
+    """
+    groups = {}
+    for (_, sigma_idx, snr_idx, _), (recs, fails) in zip(items, outputs):
+        for r in recs:
+            groups.setdefault((sigma_idx, snr_idx, r.scheme), ([], []))[0].append(r)
+        for f in fails:
+            groups.setdefault((sigma_idx, snr_idx, f["scheme"]), ([], []))[1].append(f)
     cells = []
     for sigma_idx in _sigma_indices(cfg):
         label = float(cfg.sigma_e2_grid[sigma_idx]) if cfg.csit == "estimation" else None
         for snr_idx in range(len(cfg.snr_db_grid)):
             snr_db = float(cfg.snr_db_grid[snr_idx])
             for scheme in cfg.schemes:
-                if cfg.csit == "estimation":
-                    sel = [
-                        r
-                        for r in records
-                        if r.scheme == scheme and r.snr_db == snr_db and r.sigma_e2 == label
-                    ]
-                    nfail = sum(
-                        1
-                        for f in failures
-                        if f["scheme"] == scheme and f["snr_db"] == snr_db and f["sigma_e2"] == label
-                    )
-                else:
-                    sel = [r for r in records if r.scheme == scheme and r.snr_db == snr_db]
-                    nfail = sum(
-                        1 for f in failures if f["scheme"] == scheme and f["snr_db"] == snr_db
-                    )
+                sel, fails = groups.get((sigma_idx, snr_idx, scheme), ((), ()))
                 rates_arr = np.array([r.sum_rate_bits for r in sel], dtype=float)
                 esr = float(np.mean(rates_arr)) if rates_arr.size else float("nan")
                 se = (
@@ -228,7 +225,7 @@ def _summarize(cfg: ExperimentConfig, records, failures):
                         esr_bits=esr,
                         std_err=se,
                         draws_used=int(rates_arr.size),
-                        failures=nfail,
+                        failures=len(fails),
                         boundary_hits=int(sum(r.boundary_hits for r in sel)),
                         mean_iterations=float(np.mean([r.iterations for r in sel])) if sel else 0.0,
                         mean_solver_seconds=(

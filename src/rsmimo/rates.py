@@ -1,13 +1,22 @@
 """Rate and MSE algebra for rate-splitting transmission under imperfect CSIT.
 
 Conventions: optimization objectives are in nats, reported rates in bits.
-Hermitian products are explicitly symmetrized before factorizations, and every
+Hermitian products are explicitly symmetrized when they are formed, and every
 real-part extraction asserts that the imaginary residue is negligible.
 
 Per-user quantities are stacked on a leading user axis: the channel estimates
 and the private precoders are (K, M, N) arrays, the MSE and weight matrices
 (K, N, N) arrays, so a factorization or solve is one batched call over users.
 The matrix helpers accept a single matrix or a stack.
+
+Every MSE quantity of a bundle comes from one factorization. For a stream
+with covariance F and signal term S, the augmented matrix Z = [[F, S], [S^H, I]]
+has the Cholesky factor L = [[L11, 0], [L21, L22]] with L11 L11^H = F,
+L21 = S^H L11^-H and L22 L22^H = I - S^H F^-1 S = M, the MMSE error matrix.
+With Lam = L^-1, whose diagonal blocks are L11^-1 and L22^-1, the MMSE filter
+is D = S^H F^-1 = L21 Lam11, log det M = 2 sum log diag L22, and
+M^-1 = Lam22^H Lam22. Z is positive definite exactly when F and M are, so a
+non-definite system still raises LinAlgError.
 """
 
 from __future__ import annotations
@@ -59,7 +68,14 @@ class _PerUser:
 
 @dataclass(frozen=True)
 class MseBundle(_PerUser):
-    """MMSE filters, error matrices and their log-dets; all_bundles stacks them over users."""
+    """MMSE filters, error matrices, their log-dets and inverses; all_bundles
+    stacks them over users.
+
+    F and G are the common- and private-stream receive covariances. Everything
+    else comes from one Cholesky factor of the augmented [[F, S], [S^H, I]] per
+    stream (see the module docstring), so the inverses Mc_inv and Mp_inv that
+    weights() needs cost no further factorization.
+    """
 
     F: np.ndarray
     G: np.ndarray
@@ -69,6 +85,8 @@ class MseBundle(_PerUser):
     Mp_mmse: np.ndarray
     logdet_c: np.ndarray
     logdet_p: np.ndarray
+    Mc_inv: np.ndarray
+    Mp_inv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,26 +118,28 @@ def checked_real(z):
 
 
 def cholesky_logdet(A):
-    """log det of Hermitian positive definite matrices via their Cholesky factors."""
-    L = np.linalg.cholesky(herm(A))
+    """log det of Hermitian positive definite matrices via their Cholesky factors.
+
+    A must be Hermitian by construction: only its lower triangle is read.
+    """
+    L = np.linalg.cholesky(A)
     return 2.0 * np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
 
 
 def cholesky_solve(A, B):
-    """Solve A X = B for Hermitian positive definite A through its Cholesky factor."""
-    L = np.linalg.cholesky(herm(A))
-    return np.linalg.solve(_h(L), np.linalg.solve(L, B))
+    """Solve A X = B for Hermitian positive definite A through its Cholesky factor.
 
-
-def pd_inverse(A):
-    """Inverse of a Hermitian positive definite matrix, symmetrized."""
-    return herm(cholesky_solve(A, np.broadcast_to(np.eye(A.shape[-1], dtype=complex), A.shape)))
+    A must be Hermitian by construction: only its lower triangle is read. The
+    factor L is inverted once and X = L^-H (L^-1 B).
+    """
+    Li = np.linalg.inv(np.linalg.cholesky(A))
+    return _h(Li) @ (Li @ B)
 
 
 def logsumexp(x) -> float:
     x = np.asarray(x, dtype=float)
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
+    m = float(x.max())
+    return m + float(np.log(np.exp(x - m).sum()))
 
 
 def instantaneous_rates(H, P: PrecoderSet, sigma_n2):
@@ -174,24 +194,37 @@ def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
     Hh = _h(np.asarray(H))                                   # (n, N, M)
     n, N, _ = Hh.shape
     K = len(P.Pp)
-    s2 = np.asarray(sigma_e2, dtype=float)[:, None, None]
-    eye = np.eye(N)
     Pfull = P.full()
     Sfull = Hh @ Pfull                                       # (n, N, N(K+1))
-    Spriv = Sfull[:, :, N:]
+    # Z = [[F, S], [S^H, I]] of the common (F, Sc) and the private (G, Sp)
+    # stream of every channel, stacked (2n, 2N, 2N), is the Gram matrix of
+    # Y = [[R], [E^H]] plus the noise floor on F and G. R holds the columns
+    # the stream receives (all of Sfull for F, its private ones for G) and E
+    # picks the stream's own columns, so R E = S and E^H E = I exactly.
+    pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
+    Y = np.zeros((2 * n, 2 * N, N * (K + 1)), dtype=complex)
+    Y[:n, :N] = Sfull
+    Y[n:, :N, N:] = Sfull[:, :, N:]
+    Y[:n, N:] = pick[0]
+    Y[n:, N:] = pick[np.asarray(own) + 1]
+    Z = herm(Y @ _h(Y))
+    s2 = np.asarray(sigma_e2, dtype=float)
     tr_full = float(np.vdot(Pfull, Pfull).real)
     tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
-    F = herm(Sfull @ _h(Sfull)) + (s2 * tr_full + sigma_n2) * eye
-    G = herm(Spriv @ _h(Spriv)) + (s2 * tr_priv + sigma_n2) * eye
-    Sc = Sfull[:, :, :N]
-    Sp = Spriv.reshape(n, N, K, N)[np.arange(n), :, own, :]
-    # one factorization and solve pair for F^-1 Sc and G^-1 Sp of every user
-    S = np.concatenate([Sc, Sp])
-    X = cholesky_solve(np.concatenate([F, G]), S)
-    Mz = herm(eye - _h(S) @ X)
-    ld = cholesky_logdet(Mz)
-    D = _h(X)
-    return MseBundle(F, G, D[:n], D[n:], Mz[:n], Mz[n:], logdet_c=ld[:n], logdet_p=ld[n:])
+    floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
+    Z[:, :N, :N] += floor[:, None, None] * np.eye(N)
+    L = np.linalg.cholesky(Z)
+    Li = np.linalg.inv(L)
+    L22, Li22 = L[:, N:, N:], Li[:, N:, N:]
+    D = L[:, N:, :N] @ Li[:, :N, :N]
+    # M = L22 L22^H and M^-1 = Li22^H Li22 as one stacked Gram product
+    X = np.concatenate([L22, _h(Li22)])
+    MM = herm(X @ _h(X))
+    Mz, Mi = MM[:2 * n], MM[2 * n:]
+    ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
+    F, G = Z[:n, :N, :N], Z[n:, :N, :N]
+    return MseBundle(F, G, D[:n], D[n:], Mz[:n], Mz[n:], logdet_c=ld[:n], logdet_p=ld[n:],
+                     Mc_inv=Mi[:n], Mp_inv=Mi[n:])
 
 
 def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
@@ -215,12 +248,14 @@ def objective_f1(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> float:
 
 
 def weights(bundles: MseBundle) -> WeightBundle:
-    """Stacked weight matrices and the softmax split over common log-det MSEs."""
+    """Stacked weight matrices and the softmax split over common log-det MSEs.
+
+    The weights are the MSE inverses the bundle already holds, the common ones
+    scaled by the softmax weights mu; no linear algebra happens here.
+    """
     lc = bundles.logdet_c
     mu = np.exp(lc - logsumexp(lc))
-    K = len(mu)
-    inv = pd_inverse(np.concatenate([bundles.Mc_mmse, bundles.Mp_mmse]))
-    return WeightBundle(Wc=mu[:, None, None] * inv[:K], Wp=inv[K:], mu=mu)
+    return WeightBundle(Wc=mu[:, None, None] * bundles.Mc_inv, Wp=bundles.Mp_inv, mu=mu)
 
 
 def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):

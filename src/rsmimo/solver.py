@@ -68,6 +68,12 @@ def _blocks(Pp_cat, K):
     return Pp_cat.reshape(M, K, -1).transpose(1, 0, 2)
 
 
+def _side_by_side(X):
+    """The side-by-side M x NK matrix [X_1, ..., X_K] of a (K, M, N) stack."""
+    K, M, N = X.shape
+    return X.transpose(1, 0, 2).reshape(M, K * N)
+
+
 def _all_private(P: PrecoderSet) -> PrecoderSet:
     """Drop the common precoder and rescale the private ones to the full budget."""
     scale = np.sqrt(P.rho / float(np.vdot(P.Pp, P.Pp).real))
@@ -104,15 +110,17 @@ def _block_system(H_hat, sigma_e2, D, W):
     omega = sum_k sigma_e2[k] tr(W_k D_k D_k^H), the per-user linear terms
     T_k W_k stacked (K, M, N), and sum_k tr(W_k D_k D_k^H). The private block
     uses the linear terms side by side (M x NK), the common block their sum.
+    The user sum in A is one M x NK by NK x M product of the side-by-side
+    terms, and tr(W_k D_k D_k^H) is the inner product of W_k D_k with D_k.
     """
     H, D, W = np.asarray(H_hat), np.asarray(D), np.asarray(W)
     M = H.shape[1]
-    Dh = D.conj().swapaxes(1, 2)
-    T = H @ Dh
+    T = H @ D.conj().swapaxes(1, 2)
     TW = T @ W
-    quad = checked_real(np.einsum("kij,kji->k", W, D @ Dh))
-    A = herm(np.einsum("kmn,kln->ml", TW, T.conj())) + float(np.dot(sigma_e2, quad)) * np.eye(M)
-    return A, TW, float(np.sum(quad))
+    quad = checked_real(np.einsum("kij,kij->k", W @ D, D.conj()))
+    A = herm(_side_by_side(TW) @ _side_by_side(T).conj().T)
+    A += float(np.dot(sigma_e2, quad)) * np.eye(M)
+    return A, TW, float(quad.sum())
 
 
 def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
@@ -124,7 +132,7 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     if not (0.0 < t_star <= 1.0):
         raise ValueError("t_star must lie in (0, 1]")
     B, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dp_list, Wp_list)
-    V = np.concatenate(TW, axis=1)
+    V = _side_by_side(TW)
     lam1 = sigma_n2 * tr_wdd / (rho * t_star)
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")

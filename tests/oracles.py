@@ -87,6 +87,33 @@ def naive_f1(H_hat, sigma_e2, Pc, Pp, sigma_n2):
     return float(np.log(np.sum(dets_c)) + np.sum(logdets_p))
 
 
+def dense_mse_blocks(H_hat, sigma_e2, Pc, Pp, sigma_n2):
+    """Per-user MMSE quantities from the dense F and G, one user at a time.
+
+    Filters and error matrices come from np.linalg.inv of F and G, log-dets
+    from slogdet and the inverses of the error matrices from np.linalg.inv.
+    Returns one dict per user keyed like the library's bundle fields.
+    """
+    Pfull = np.concatenate([Pc] + list(Pp), axis=1)
+    Ppcat = np.concatenate(list(Pp), axis=1)
+    trP = np.real(np.trace(Pfull @ Pfull.conj().T))
+    trPp = np.real(np.trace(Ppcat @ Ppcat.conj().T))
+    out = []
+    for k, Hk in enumerate(H_hat):
+        N = Hk.shape[1]
+        F = Hk.conj().T @ Pfull @ Pfull.conj().T @ Hk + (sigma_e2[k] * trP + sigma_n2) * np.eye(N)
+        G = Hk.conj().T @ Ppcat @ Ppcat.conj().T @ Hk + (sigma_e2[k] * trPp + sigma_n2) * np.eye(N)
+        blocks = {}
+        for tag, cov, S in (("c", F, Hk.conj().T @ Pc), ("p", G, Hk.conj().T @ Pp[k])):
+            D = S.conj().T @ np.linalg.inv(cov)
+            Mz = np.eye(N) - D @ S
+            sign, logdet = np.linalg.slogdet(Mz)
+            blocks.update({f"D{tag}": D, f"M{tag}_mmse": Mz, f"logdet_{tag}": logdet,
+                           f"sign_{tag}": sign, f"M{tag}_inv": np.linalg.inv(Mz)})
+        out.append(blocks)
+    return out
+
+
 def scalar_loop_f2(Mc_list, Mp_list, Wc_list, Wp_list):
     """f2 as explicit elementwise trace sums."""
     total = 0.0
@@ -168,10 +195,14 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
             W.append(np.linalg.inv(0.5 * (Mk + Mk.conj().T)))
         Bmat = sum(H[k] @ D[k].conj().T @ W[k] @ D[k] @ H[k].conj().T for k in range(K))
         Vs = [H[k] @ D[k].conj().T @ W[k] for k in range(K)]
+        # with Bmat = U diag(ev) U^H, the precoder power at multiplier lam is
+        # sum_i ||row i of U^H V||^2 / (ev_i + lam)^2: one eigendecomposition
+        # serves every bisection step
+        ev, U = np.linalg.eigh(0.5 * (Bmat + Bmat.conj().T))
+        row_energy = sum(np.sum(np.abs(U.conj().T @ V) ** 2, axis=1) for V in Vs)
 
         def power(lam):
-            inv = np.linalg.inv(Bmat + lam * np.eye(M))
-            return sum(np.real(np.trace(inv @ V @ V.conj().T @ inv.conj().T)) for V in Vs)
+            return float(np.sum(row_energy / (ev + lam) ** 2))
 
         lo, hi = 0.0, 1.0
         if power(1e-12) <= rho:

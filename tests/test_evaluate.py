@@ -120,6 +120,18 @@ def test_csv_layout_and_zeroed_timing(tmp_path):
     assert len(payload["cells"]) == len(result.cells)
 
 
+def test_summary_cells_are_keyed_on_grid_indices():
+    # a grid value given twice makes two cells, each summarizing only the
+    # draws of its own grid point
+    result = run_experiment(
+        small_config(snr_db_grid=(10.0, 10.0), sigma_e2_grid=(0.3, 0.3), draws=3, schemes=("mrt",))
+    )
+    assert len(result.records) == 4 * 3
+    assert [c.draws_used for c in result.cells] == [3] * 4
+    # every grid point draws its own channels, so the four cell means differ
+    assert len({c.esr_bits for c in result.cells}) == 4
+
+
 def test_summary_cells_match_record_means():
     result = run_experiment(small_config(draws=6))
     for cell in result.cells:

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_instance, random_precoders
+from rsmimo.solver import run
 from oracles import (
+    dense_mse_blocks,
     fd_gradient,
     naive_f1,
     quadratic_expectation_mc,
@@ -203,6 +205,68 @@ def test_mmse_filter_is_stationary_point():
 
     assert np.max(np.abs(fd_gradient(common_mse, b.Dc))) < 1e-6
     assert np.max(np.abs(fd_gradient(private_mse, b.Dp))) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "M,N,K,snr_db,s2,near_rank_deficient",
+    [
+        (8, 2, 4, 60.0, 0.1, False),
+        (8, 2, 4, 70.0, 0.1, False),
+        (8, 2, 4, 20.0, 0.99, False),
+        (8, 2, 4, 70.0, 0.99, False),
+        (4, 2, 4, 20.0, 0.1, False),   # overloaded: K N > M
+        (4, 2, 4, 70.0, 0.1, False),
+        (8, 2, 4, 20.0, 0.1, True),
+        (8, 2, 4, 60.0, 0.1, True),
+    ],
+)
+def test_fused_bundles_match_dense_oracle(M, N, K, snr_db, s2, near_rank_deficient):
+    # filters, MSE matrices, log-dets and inverses from the one augmented
+    # Cholesky factor against inv/slogdet of the dense F and G, at random
+    # precoders and at the solver's own design
+    rho = 10.0 ** (snr_db / 10.0)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    for seed in range(3):
+        rng = make_rng(500 + seed)
+        H_hat, sig = random_instance(rng, M, N, K, s2)
+        if near_rank_deficient:
+            H_hat[0][:, 1] = H_hat[0][:, 0] + 1e-7 * H_hat[0][:, 1]
+        for P in (random_precoders(rng, M, N, K, rho=rho), run(H_hat, sig, rho, 1.0).P):
+            b = all_bundles(H_hat, sig, P, 1.0)
+            for k, ref in enumerate(dense_mse_blocks(H_hat, sig, P.Pc, P.Pp, 1.0)):
+                for t in "cp":
+                    assert ref[f"sign_{t}"] > 0.0
+                    assert rel(getattr(b, f"D{t}")[k], ref[f"D{t}"]) < 1e-11
+                    assert np.max(np.abs(getattr(b, f"M{t}_mmse")[k] - ref[f"M{t}_mmse"])) < 1e-11
+                    assert abs(getattr(b, f"logdet_{t}")[k] - ref[f"logdet_{t}"]) < 1e-9
+                    assert rel(getattr(b, f"M{t}_inv")[k], ref[f"M{t}_inv"]) < 1e-9
+
+
+def test_bundles_raise_on_non_definite_covariance():
+    # a negative noise power large enough to make F and G indefinite
+    rng = make_rng(510)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    P = random_precoders(rng, 6, 2, 3, rho=10.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        all_bundles(H_hat, s2, P, -1e4)
+
+
+def test_bundles_raise_on_non_definite_error_matrix():
+    # one user, no CSIT error and a noise power of -delta: F and G stay
+    # positive definite, but G - Sp Sp^H = -delta I, so the private error
+    # matrix (the Schur complement of the augmented system) is indefinite
+    rng = make_rng(511)
+    H_hat, _ = random_instance(rng, 4, 2, 1, 0.0)
+    P = random_precoders(rng, 4, 2, 1, rho=10.0)
+    Sp = H_hat[0].conj().T @ P.Pp[0]
+    delta = 0.5 * float(np.linalg.eigvalsh(Sp @ Sp.conj().T)[0])
+    Sfull = H_hat[0].conj().T @ P.full()
+    assert np.linalg.eigvalsh(Sfull @ Sfull.conj().T)[0] > delta
+    with pytest.raises(np.linalg.LinAlgError):
+        all_bundles(H_hat, [0.0], P, -delta)
 
 
 # ------------------------------------------------------------- objectives

@@ -425,3 +425,60 @@ def test_run_matches_per_user_reference_loop(seed, force_sdma):
     np.testing.assert_allclose(state.objective_trace, trace, rtol=0.0, atol=1e-10)
     assert state.t == pytest.approx(t, abs=1e-10)
     np.testing.assert_allclose(state.P.full(), np.concatenate([Pc] + list(Pp), axis=1), rtol=0.0, atol=1e-8)
+
+
+# numpy.linalg entry points whose calls the sweep-cost test counts
+LINALG_FUNCTIONS = (
+    "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_power", "matrix_rank", "norm", "pinv", "qr", "slogdet", "solve", "svd",
+)
+
+
+@pytest.mark.parametrize("force_sdma", [False, True])
+def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
+    # a proposed sweep makes 12 numpy.linalg calls: one Cholesky and one
+    # triangular inverse for each of its two bundles and each of the P1 and
+    # P2 solves, plus four norms; an all-private sweep makes 5 (one bundle
+    # and P1). Initialization adds one SVD, two norms and the first bundles.
+    from collections import Counter
+
+    calls = Counter()
+    for name in LINALG_FUNCTIONS:
+        original = getattr(np.linalg, name, None)
+        if original is None:
+            continue
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = make_rng(43)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
+    n = state.iterations
+    assert n > 1 and not any(flag == "sdma" for _, flag in state.boundary_hits)
+    if force_sdma:
+        expected = {"svd": 1, "norm": 2 + n, "cholesky": 1 + 2 * n, "inv": 1 + 2 * n}
+    else:
+        expected = {"svd": 1, "norm": 2 + 4 * n, "cholesky": 1 + 4 * n, "inv": 1 + 4 * n}
+    assert dict(calls) == expected
+    assert sum(calls.values()) == 5 + (5 if force_sdma else 12) * n
+
+
+def test_run_names_the_iteration_of_a_non_definite_system(monkeypatch):
+    # the second bundle computation (inside sweep 0) sees a negative noise
+    # power: the augmented factorization raises LinAlgError and run reports
+    # it as a RuntimeError naming the iteration
+    calls = []
+
+    def breaking(H_hat, sigma_e2, P, sigma_n2):
+        calls.append(1)
+        return all_bundles(H_hat, sigma_e2, P, sigma_n2 if len(calls) == 1 else -1e4)
+
+    monkeypatch.setattr("rsmimo.solver.all_bundles", breaking)
+    rng = make_rng(44)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    with pytest.raises(RuntimeError, match="iteration 0") as info:
+        run(H_hat, s2, 100.0, 1.0)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
