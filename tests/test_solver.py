@@ -1,6 +1,8 @@
 # Solver tests: initialization, per-block closed forms, power split, full runs.
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -440,13 +442,9 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     # triangular inverse for each of its two bundles and each of the P1 and
     # P2 solves, plus four norms; an all-private sweep makes 5 (one bundle
     # and P1). Initialization adds one SVD, two norms and the first bundles.
-    from collections import Counter
-
     calls = Counter()
     for name in LINALG_FUNCTIONS:
-        original = getattr(np.linalg, name, None)
-        if original is None:
-            continue
+        original = getattr(np.linalg, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
