@@ -1,81 +1,13 @@
-"""Robust rate-splitting precoding for the MU-MIMO downlink under imperfect CSIT."""
+"""Robust rate-splitting precoding for the MU-MIMO downlink under imperfect CSIT.
+
+The top level exports the names of the README quick start; everything else
+lives in the submodules: channels, rates, solver, baselines, evaluate, cli.
+"""
 
 __version__ = "0.1.0"
 
-from .baselines import IMPLEMENTED, SCHEMES, design_precoders, mrt_precoder, rwmmse_precoder
-from .channels import (
-    ChannelSet,
-    Codebook,
-    chordal_distance,
-    dominant_subspace,
-    load_codebook,
-    quantize_channel,
-    quantized_csit_from_channels,
-    random_codebook,
-    sample_estimation_channel,
-    sample_quantized_csit,
-    save_codebook,
-)
-from .evaluate import (
-    ExperimentConfig,
-    ExperimentResult,
-    empirical_cdf,
-    run_experiment,
-    write_csv,
-    write_json,
-)
-from .rates import (
-    MseBundle,
-    PrecoderSet,
-    WeightBundle,
-    expectation_quadratic,
-    instantaneous_rates,
-    mse_at_filters,
-    mse_bundle,
-    objective_f1,
-    objective_f2,
-    weights,
-)
-from .solver import SolverConfig, SolverState, initialize, run, solve_p1, solve_p2, solve_p3
+from .channels import sample_estimation_channel
+from .rates import instantaneous_rates
+from .solver import SolverConfig, run
 
-__all__ = [
-    "ChannelSet",
-    "Codebook",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "IMPLEMENTED",
-    "MseBundle",
-    "PrecoderSet",
-    "SCHEMES",
-    "SolverConfig",
-    "SolverState",
-    "WeightBundle",
-    "chordal_distance",
-    "design_precoders",
-    "dominant_subspace",
-    "empirical_cdf",
-    "expectation_quadratic",
-    "initialize",
-    "instantaneous_rates",
-    "load_codebook",
-    "mrt_precoder",
-    "mse_at_filters",
-    "mse_bundle",
-    "objective_f1",
-    "objective_f2",
-    "quantize_channel",
-    "quantized_csit_from_channels",
-    "random_codebook",
-    "run",
-    "run_experiment",
-    "rwmmse_precoder",
-    "sample_estimation_channel",
-    "sample_quantized_csit",
-    "save_codebook",
-    "solve_p1",
-    "solve_p2",
-    "solve_p3",
-    "weights",
-    "write_csv",
-    "write_json",
-]
+__all__ = ["SolverConfig", "instantaneous_rates", "run", "sample_estimation_channel"]

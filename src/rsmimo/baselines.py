@@ -23,15 +23,6 @@ def rwmmse_precoder(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverCo
     return run(H_hat, sigma_e2, rho, sigma_n2, cfg, force_sdma=True)
 
 
-def _stub(name):
-    def designer(H_hat, sigma_e2, rho, sigma_n2, cfg):
-        raise NotImplementedError(
-            f"scheme '{name}' is a registry placeholder; its construction is not part of this package"
-        )
-
-    return designer
-
-
 def _design_proposed(H_hat, sigma_e2, rho, sigma_n2, cfg):
     st = run(H_hat, sigma_e2, rho, sigma_n2, cfg)
     return st.P, st.iterations, st.t, len(st.boundary_hits)
@@ -50,13 +41,7 @@ SCHEMES = {
     "proposed": _design_proposed,
     "rwmmse": _design_rwmmse,
     "mrt": _design_mrt,
-    "rbd": _stub("rbd"),
-    "rrbd": _stub("rrbd"),
-    "sns": _stub("sns"),
-    "wmmse_saa": _stub("wmmse_saa"),
 }
-
-IMPLEMENTED = ("proposed", "rwmmse", "mrt")
 
 
 def design_precoders(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig()):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 CODEBOOK_MAGIC = b"RSMACB1"
+CODEBOOK_HEADER = struct.Struct("<IIIQ")  # M, N, bits, seed
 MAX_CODEBOOK_BITS = 14
 
 
@@ -153,19 +155,32 @@ def save_codebook(path, codebook: Codebook, seed):
     M, N = codebook.entries[0].shape
     with open(path, "wb") as fh:
         fh.write(CODEBOOK_MAGIC)
-        fh.write(struct.pack("<IIIQ", M, N, codebook.bits, seed))
+        fh.write(CODEBOOK_HEADER.pack(M, N, codebook.bits, seed))
         arr = np.stack(codebook.entries).astype(np.complex64)
         fh.write(arr.tobytes(order="C"))
 
 
 def load_codebook(path) -> tuple[Codebook, int]:
+    """Read a codebook written by save_codebook; returns (codebook, seed).
+
+    A bad magic, a truncated or out-of-range header, or a payload that is not
+    exactly 2**bits M x N complex64 entries raises a ValueError naming the path.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CODEBOOK_MAGIC))
         if magic != CODEBOOK_MAGIC:
-            raise ValueError(f"bad codebook magic {magic!r}")
-        M, N, bits, seed = struct.unpack("<IIIQ", fh.read(20))
-        raw = fh.read(2**bits * M * N * 8)
-        arr = np.frombuffer(raw, dtype=np.complex64).reshape(2**bits, M, N)
+            raise ValueError(f"{path}: bad codebook magic {magic!r}")
+        header = fh.read(CODEBOOK_HEADER.size)
+        if len(header) != CODEBOOK_HEADER.size:
+            raise ValueError(f"{path}: truncated codebook header")
+        M, N, bits, seed = CODEBOOK_HEADER.unpack(header)
+        if not (1 <= bits <= MAX_CODEBOOK_BITS and M > N >= 1):
+            raise ValueError(f"{path}: bad codebook header M={M}, N={N}, bits={bits}")
+        expected = 2**bits * M * N * np.dtype(np.complex64).itemsize
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ValueError(f"{path}: codebook payload is {size} bytes, expected {expected}")
+        arr = np.frombuffer(fh.read(), dtype=np.complex64).reshape(2**bits, M, N)
     # float32 rounding breaks exact semi-unitarity; snap to the polar factor
     u, _, vh = np.linalg.svd(arr.astype(complex), full_matrices=False)
     return Codebook(entries=list(u @ vh), bits=bits), seed

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import channels, selfcheck
+from . import selfcheck
 from .evaluate import (
+    SIGMA_N2,
     ExperimentConfig,
+    draw_channels,
     empirical_cdf,
     json_summary,
     run_experiment,
@@ -44,22 +47,28 @@ DEFAULTS = {
 
 def parse_grid(text):
     """Grid syntax: inclusive 'start:step:stop', comma list, or a single value."""
+    ranged = False
     if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    s = str(text).strip()
-    if ":" in s:
-        parts = s.split(":")
+        parts = text
+    elif ":" in str(text):
+        parts, ranged = str(text).split(":"), True
         if len(parts) != 3:
             raise ValueError(f"malformed grid '{text}': expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"malformed grid '{text}': need step > 0 and stop >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+    else:
+        parts = [p for p in str(text).split(",") if p.strip() != ""]
     try:
-        return tuple(float(p) for p in s.split(",") if p.strip() != "")
-    except ValueError:
+        values = tuple(float(p) for p in parts)
+    except (TypeError, ValueError):
         raise ValueError(f"malformed grid '{text}'") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid '{text}' holds a non-finite value")
+    if not ranged:
+        return values
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise ValueError(f"malformed grid '{text}': need step > 0 and stop >= start")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + i * step for i in range(count))
 
 
 def _parse_schemes(text):
@@ -137,6 +146,12 @@ def _experiment_config(res) -> ExperimentConfig:
     )
 
 
+def _point_config(res) -> ExperimentConfig:
+    """The experiment config at the first point of the SNR and sigma_e2 grids."""
+    point = {key: parse_grid(res[key])[:1] for key in ("snr_db", "sigma_e2")}
+    return _experiment_config({**res, **point})
+
+
 def _out_dir(res) -> Path:
     out = Path(res["out_dir"])
     if not out.is_dir():
@@ -174,34 +189,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_converge(args) -> int:
     res = _resolve(args)
     out = _out_dir(res)
-    snr = parse_grid(res["snr_db"])[0]
-    sigma = parse_grid(res["sigma_e2"])[0]
-    rho = 10.0 ** (snr / 10.0)
-    solver = SolverConfig(
-        max_iters=int(res["max_iters"]),
-        obj_tol=float(res["obj_tol"]),
-        bisect_tol=float(res["bisect_tol"]),
-    )
+    cfg = _point_config(res)
+    snr = cfg.snr_db_grid[0]
     traces = []
     iters = []
-    for draw in range(int(res["draws"])):
-        ss = np.random.SeedSequence(entropy=int(res["seed"]), spawn_key=(0, 0, draw))
-        rng = np.random.default_rng(ss)
-        if res["csit"] == "quantized":
-            chans, _ = channels.sample_quantized_csit(
-                int(res["m"]), int(res["n"]), int(res["k"]), int(res["bits"]), rng
-            )
-        else:
-            chans = channels.sample_estimation_channel(
-                int(res["m"]), int(res["n"]), int(res["k"]), [sigma] * int(res["k"]), rng
-            )
-        st = run(chans.H_hat, chans.sigma_e2, rho, 1.0, solver)
+    for draw in range(cfg.draws):
+        chans, rho = draw_channels(cfg, 0, 0, draw)
+        st = run(chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver)
         traces.append([float(v) for v in st.objective_trace])
         iters.append(st.iterations)
     payload = {
         "snr_db": snr,
-        "sigma_e2": sigma if res["csit"] == "estimation" else None,
-        "seed": int(res["seed"]),
+        "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
+        "seed": cfg.seed,
         "version": version_string(),
         "iterations": iters,
         "objective_traces_nats": traces,
@@ -228,9 +228,7 @@ def _cmd_converge(args) -> int:
 def _cmd_cdf(args) -> int:
     res = _resolve(args)
     out = _out_dir(res)
-    snr = (parse_grid(res["snr_db"])[0],)
-    sigma = (parse_grid(res["sigma_e2"])[0],)
-    cfg = _experiment_config({**res, "snr_db": snr, "sigma_e2": sigma})
+    cfg = _point_config(res)
     result = run_experiment(cfg)
     lines = ["scheme,sum_rate_bits,prob"]
     summary = {}
@@ -257,8 +255,8 @@ def _cmd_cdf(args) -> int:
         print(f"wrote {out / 'cdf.csv'}")
     if fmt in ("json", "both"):
         payload = {
-            "snr_db": snr[0],
-            "sigma_e2": sigma[0] if res["csit"] == "estimation" else None,
+            "snr_db": cfg.snr_db_grid[0],
+            "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
             "version": version_string(),
             "summary": summary,
         }
@@ -308,7 +306,7 @@ def parse_and_run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (ValueError, NotImplementedError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:

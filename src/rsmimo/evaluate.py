@@ -8,6 +8,7 @@ Schemes within a draw share the channel realization (paired comparisons).
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels
-from .baselines import IMPLEMENTED, design_precoders
+from .baselines import SCHEMES, design_precoders
 from .rates import instantaneous_rates
 from .solver import SolverConfig
 
@@ -58,11 +59,13 @@ class ExperimentConfig:
             raise ValueError("draws must be at least 1")
         if not self.snr_db_grid or (self.csit == "estimation" and not self.sigma_e2_grid):
             raise ValueError("SNR and sigma_e2 grids must be non-empty")
+        if not all(math.isfinite(v) for v in (*self.snr_db_grid, *self.sigma_e2_grid)):
+            raise ValueError("SNR and sigma_e2 grids must hold finite values")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for s in self.schemes:
-            if s not in IMPLEMENTED:
-                raise ValueError(f"scheme '{s}' is not runnable; choose from {IMPLEMENTED}")
+            if s not in SCHEMES:
+                raise ValueError(f"unknown scheme '{s}'; choose from {tuple(SCHEMES)}")
         if self.csit not in ("estimation", "quantized"):
             raise ValueError(f"csit mode must be 'estimation' or 'quantized', got '{self.csit}'")
         if self.csit == "quantized" and self.bits < 1:
@@ -111,17 +114,27 @@ def _sigma_indices(cfg: ExperimentConfig):
     return range(len(cfg.sigma_e2_grid)) if cfg.csit == "estimation" else range(1)
 
 
-def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
-    """One paired work item: sample channels once, design and score every scheme."""
+def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
+    """The channels of one work item and its transmit SNR rho, as (chans, rho).
+
+    The draw is seeded from the experiment seed and the item's grid indices
+    alone, so every command sees the same channels for the same item.
+    """
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_idx, snr_idx, draw))
     rng = np.random.default_rng(ss)
-    snr_db = float(cfg.snr_db_grid[snr_idx])
-    rho = 10.0 ** (snr_db / 10.0)
+    rho = 10.0 ** (float(cfg.snr_db_grid[snr_idx]) / 10.0)
     if cfg.csit == "quantized":
         chans, _ = channels.sample_quantized_csit(cfg.M, cfg.N, cfg.K, cfg.bits, rng)
     else:
         sig = float(cfg.sigma_e2_grid[sigma_idx])
         chans = channels.sample_estimation_channel(cfg.M, cfg.N, cfg.K, [sig] * cfg.K, rng)
+    return chans, rho
+
+
+def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
+    """One paired work item: sample channels once, design and score every scheme."""
+    chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
+    snr_db = float(cfg.snr_db_grid[snr_idx])
     records, failures = [], []
     for scheme in cfg.schemes:
         start = time.perf_counter()

@@ -33,7 +33,6 @@ class SolverConfig:
     obj_tol: float = 1e-4
     bisect_tol: float = 1e-8
     t_clamp: float = 1e-6
-    track_trace: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -140,16 +139,16 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     return np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar), B, V
 
 
-def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2, t_clamp=1e-6):
+def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     """Closed-form common precoder at power rho*(1 - t_star), M x N.
 
     Returns (Pc, A, U), A and U being the block's quadratic and linear terms.
-    Pc is zero when t_star >= 1 - t_clamp leaves no common power. Raises
+    Pc is zero when t_star >= 1 leaves no common power. Raises
     CommonCollapse when the common direction vanishes (norm below 1e-12).
     """
     A, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dc_list, Wc_list)
     U = TW.sum(axis=0)
-    if t_star >= 1.0 - t_clamp:
+    if t_star >= 1.0:
         return np.zeros_like(U), A, U
     cross = checked_real(np.vdot(Pp_cat, A @ Pp_cat))
     lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
@@ -214,8 +213,8 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     K = len(H)
     if len(sigma_e2) != K:
         raise ValueError("per-user error variance count does not match user count")
-    if rho <= 0 or sigma_n2 <= 0:
-        raise ValueError("rho and sigma_n2 must be positive")
+    if not (0.0 < rho < math.inf and 0.0 < sigma_n2 < math.inf):
+        raise ValueError(f"rho and sigma_n2 must be finite and positive, got {rho} and {sigma_n2}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
     P, t = initialize(H, rho, max(sigma_e2))
@@ -243,9 +242,8 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             else:
                 mid = all_bundles(H, sigma_e2, PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho), sigma_n2)
                 try:
-                    # t < 1 here, so no clamp
                     Pc_new, A, U = solve_p2(
-                        H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2, 0.0
+                        H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2
                     )
                 except CommonCollapse:
                     # continue as an all-private design
@@ -274,10 +272,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             converged = True
             break
         P, t, bundles = P_new, t_new, bundles_new
-        if cfg.track_trace:
-            trace.append(f_new)
-        else:
-            trace = [trace[0], f_new]
+        trace.append(f_new)
         if f_cur - f_new < cfg.obj_tol * abs(f_cur):
             f_cur = f_new
             converged = True

@@ -8,7 +8,6 @@ import pytest
 from conftest import make_rng, random_instance
 from oracles import plain_wmmse, plain_wmmse_matched
 from rsmimo.baselines import (
-    IMPLEMENTED,
     SCHEMES,
     design_precoders,
     mrt_precoder,
@@ -19,9 +18,7 @@ from rsmimo.solver import SolverConfig
 
 
 def test_registry_names():
-    assert IMPLEMENTED == ("proposed", "rwmmse", "mrt")
-    assert set(IMPLEMENTED) <= set(SCHEMES)
-    assert {"rbd", "rrbd", "sns", "wmmse_saa"} <= set(SCHEMES)
+    assert tuple(SCHEMES) == ("proposed", "rwmmse", "mrt")
 
 
 def test_mrt_power_and_shape():
@@ -115,14 +112,6 @@ def test_proposed_never_loses_to_all_private_design():
     assert float(d.mean() - 1.645 * se) >= -0.05
 
 
-def test_stub_schemes_raise_not_implemented():
-    rng = make_rng(46)
-    H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
-    for name in ("rbd", "rrbd", "sns", "wmmse_saa"):
-        with pytest.raises(NotImplementedError):
-            design_precoders(name, H_hat, s2, 10.0, 1.0)
-
-
 def test_unknown_scheme_raises_value_error():
     rng = make_rng(47)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
@@ -133,7 +122,7 @@ def test_unknown_scheme_raises_value_error():
 def test_dispatch_tuple_shape():
     rng = make_rng(48)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
-    for name in IMPLEMENTED:
+    for name in SCHEMES:
         P, iters, t, hits = design_precoders(name, H_hat, s2, 10.0, 1.0, SolverConfig(max_iters=40))
         assert abs(P.power() - 10.0) <= 1e-9 * 10.0
         assert iters >= 0 and 0.0 < t <= 1.0 and hits >= 0

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmimo.channels import (
+    CODEBOOK_HEADER,
+    CODEBOOK_MAGIC,
+    MAX_CODEBOOK_BITS,
     Codebook,
     chordal_distance,
     complex_gaussian,
@@ -242,3 +245,46 @@ def test_load_codebook_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTACB00" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_codebook(path)
+
+
+def _codebook_blob(M=4, N=2, bits=3, seed=5, payload=None):
+    """The bytes save_codebook writes, with the header and payload given here."""
+    if payload is None:
+        payload = np.zeros((2**bits, M, N), dtype=np.complex64).tobytes()
+    return CODEBOOK_MAGIC + CODEBOOK_HEADER.pack(M, N, bits, seed) + payload
+
+
+def test_load_codebook_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(_codebook_blob()[:10])
+    with pytest.raises(ValueError, match="truncated codebook header") as info:
+        load_codebook(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_codebook_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(_codebook_blob()[:-3])
+    with pytest.raises(ValueError, match="payload is 509 bytes, expected 512") as info:
+        load_codebook(path)
+    assert str(path) in str(info.value)
+
+
+def test_load_codebook_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.bin"
+    path.write_bytes(_codebook_blob() + b"\x00")
+    with pytest.raises(ValueError, match="payload is 513 bytes"):
+        load_codebook(path)
+
+
+@pytest.mark.parametrize(
+    "M,N,bits",
+    [(4, 2, 40), (4, 2, 0), (4, 2, MAX_CODEBOOK_BITS + 1), (0, 0, 3), (2, 2, 3), (4, 0, 3)],
+)
+def test_load_codebook_rejects_out_of_range_header(tmp_path, M, N, bits):
+    # bits=40 used to ask for a multi-terabyte read, M=0 gave empty entries
+    path = tmp_path / "header.bin"
+    path.write_bytes(_codebook_blob(M, N, bits, payload=b""))
+    with pytest.raises(ValueError, match="bad codebook header") as info:
+        load_codebook(path)
+    assert str(path) in str(info.value)

@@ -61,15 +61,27 @@ def test_help_and_usage_exit_codes(capsys):
     [
         ("sweep", "--snr-db", "bad:grid"),
         ("sweep", "--schemes", "zf"),
-        ("sweep", "--schemes", "rbd"),  # registry stub: not runnable
+        ("sweep", "--schemes", "rbd"),  # unknown scheme
         ("sweep", "--out-dir", "/nonexistent/dir"),
         ("sweep", "--csit", "quantized", "--bits", "0"),
         ("sweep", "--config", "/nonexistent/config.json"),
         ("sweep", "--draws", "0"),
+        ("sweep", "--snr-db", "nan"),
+        ("sweep", "--snr-db", "0:inf:10"),
+        ("sweep", "--snr-db", "0:1:inf"),
+        ("sweep", "--config", {"snr_db": "NaN"}),
+        ("sweep", "--config", {"snr_db": [None]}),
+        ("converge", "--snr-db", ","),  # empty grid
+        ("converge", "--schemes", "rbd"),  # converge validates the sweep keys
     ],
 )
 def test_invalid_usage_exits_2(argv, tmp_path, capsys):
     argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):  # a config file holding these keys
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(arg))
+            argv[i] = str(path)
     if "--out-dir" not in argv:
         argv += ["--out-dir", str(tmp_path)]
     assert run_cli(*argv) == 2
@@ -186,6 +198,31 @@ def test_converge_writes_monotone_traces(tmp_path, capsys):
     lines = (tmp_path / "converge.csv").read_text().splitlines()
     assert lines[0] == "run,iteration,objective_nats"
     assert len(lines) == 1 + sum(len(t) for t in payload["objective_traces_nats"])
+
+
+@pytest.mark.parametrize("csit", [(), ("--csit", "quantized", "--bits", "4")])
+def test_converge_iterations_match_sweep_proposed_rows(tmp_path, csit):
+    # converge and sweep draw the channels of one operating point the same way
+    point = (
+        "--m", "4", "--n", "2", "--k", "2",
+        "--snr-db", "20",
+        "--sigma-e2", "0.1",
+        "--draws", "4",
+        "--seed", "11",
+        *csit,
+        "--out-dir", str(tmp_path),
+    )
+    assert run_cli("sweep", *point, "--no-timing", "--format", "csv") == 0
+    assert run_cli("converge", *point, "--format", "json") == 0
+    lines = [l for l in (tmp_path / "sweep.csv").read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    proposed = sorted(
+        (int(r["draw"]), int(r["iterations"])) for r in rows if r["scheme"] == "proposed"
+    )
+    converge = json.loads((tmp_path / "converge.json").read_text())["iterations"]
+    assert [d for d, _ in proposed] == list(range(4))
+    assert converge == [it for _, it in proposed]
 
 
 def test_cdf_outputs_distribution(tmp_path, capsys):

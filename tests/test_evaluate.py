@@ -196,9 +196,10 @@ def test_quantized_mode_records_effective_variance():
     [
         dict(draws=0),
         dict(snr_db_grid=()),
+        dict(snr_db_grid=(float("nan"),)),
         dict(sigma_e2_grid=()),
         dict(schemes=()),
-        dict(schemes=("rbd",)),  # registry stub, not runnable
+        dict(schemes=("rbd",)),  # unknown scheme
         dict(schemes=("zf",)),
         dict(csit="genie"),
         dict(csit="quantized", bits=0),

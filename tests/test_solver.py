@@ -338,16 +338,6 @@ def test_run_perfect_csit_locks_all_private_without_forcing():
     assert np.all(state.P.Pc == 0.0) and state.t == 1.0
 
 
-def test_run_trace_compression_without_tracking():
-    rng = make_rng(36)
-    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.15)
-    full = run(H_hat, s2, 50.0, 1.0, SolverConfig(max_iters=60))
-    lean = run(H_hat, s2, 50.0, 1.0, SolverConfig(max_iters=60, track_trace=False))
-    assert len(lean.objective_trace) == 2
-    assert lean.objective_trace[0] == full.objective_trace[0]
-    assert lean.objective_trace[-1] == full.objective_trace[-1]
-
-
 def test_run_validates_inputs(monkeypatch):
     rng = make_rng(37)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
@@ -357,6 +347,8 @@ def test_run_validates_inputs(monkeypatch):
         run(H_hat, s2, -1.0, 1.0)
     with pytest.raises(ValueError):
         run(H_hat, s2, 50.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        run(H_hat, s2, float("nan"), 1.0)
     bad = [h.copy() for h in H_hat]
     bad[0][0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
