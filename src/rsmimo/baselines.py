@@ -23,29 +23,15 @@ def rwmmse_precoder(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverCo
     return run(H_hat, sigma_e2, rho, sigma_n2, cfg, force_sdma=True)
 
 
-def _design_proposed(H_hat, sigma_e2, rho, sigma_n2, cfg):
-    st = run(H_hat, sigma_e2, rho, sigma_n2, cfg)
-    return st.P, st.iterations, st.t, len(st.boundary_hits)
-
-
-def _design_rwmmse(H_hat, sigma_e2, rho, sigma_n2, cfg):
-    st = rwmmse_precoder(H_hat, sigma_e2, rho, sigma_n2, cfg)
-    return st.P, st.iterations, st.t, len(st.boundary_hits)
-
-
-def _design_mrt(H_hat, sigma_e2, rho, sigma_n2, cfg):
-    return mrt_precoder(H_hat, rho), 0, 1.0, 0
-
-
-SCHEMES = {
-    "proposed": _design_proposed,
-    "rwmmse": _design_rwmmse,
-    "mrt": _design_mrt,
-}
+SCHEMES = ("proposed", "rwmmse", "mrt")
 
 
 def design_precoders(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig()):
     """Dispatch by scheme name; returns (PrecoderSet, iterations, t, boundary_hits)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'; choose from {sorted(SCHEMES)}")
-    return SCHEMES[scheme](H_hat, sigma_e2, rho, sigma_n2, cfg)
+    if scheme == "mrt":
+        return mrt_precoder(H_hat, rho), 0, 1.0, 0
+    design = rwmmse_precoder if scheme == "rwmmse" else run
+    st = design(H_hat, sigma_e2, rho, sigma_n2, cfg)
+    return st.P, st.iterations, st.t, len(st.boundary_hits)

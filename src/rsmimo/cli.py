@@ -14,13 +14,12 @@ from . import selfcheck
 from .evaluate import (
     SIGMA_N2,
     ExperimentConfig,
+    csv_text,
     draw_channels,
     empirical_cdf,
     json_summary,
     run_experiment,
     version_string,
-    write_csv,
-    write_json,
 )
 from .solver import SolverConfig, run
 
@@ -43,6 +42,8 @@ DEFAULTS = {
     "workers": 1,
     "timing": True,
 }
+CHOICES = {"format": ("csv", "json", "both"), "csit": ("estimation", "quantized")}
+LIST_KEYS = ("snr_db", "sigma_e2", "schemes")  # a config file may give these as JSON lists
 
 
 def parse_grid(text):
@@ -91,8 +92,8 @@ def _add_common(p):
     p.add_argument("--obj-tol", dest="obj_tol", type=float)
     p.add_argument("--bisect-tol", dest="bisect_tol", type=float)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--format", choices=("csv", "json", "both"))
-    p.add_argument("--csit", choices=("estimation", "quantized"))
+    p.add_argument("--format", choices=CHOICES["format"])
+    p.add_argument("--csit", choices=CHOICES["csit"])
     p.add_argument("--bits", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument(
@@ -105,7 +106,10 @@ def _add_common(p):
 
 
 def _resolve(args):
-    """Settle each key as: explicit flag, then config-file value, then default."""
+    """Settle each key as: explicit flag, then config-file value, then default.
+
+    out_dir becomes a Path to an existing directory.
+    """
     file_cfg = {}
     if args.config:
         path = Path(args.config)
@@ -113,36 +117,47 @@ def _resolve(args):
             raise ValueError(f"--config: no such file '{args.config}'")
         with open(path) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"--config: '{args.config}' does not hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"--config: unknown keys {sorted(unknown)}")
+        file_cfg = {key: _checked(key, value) for key, value in file_cfg.items()}
     resolved = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
         resolved[key] = flag if flag is not None else file_cfg.get(key, default)
+    resolved["out_dir"] = Path(resolved["out_dir"])
+    if not resolved["out_dir"].is_dir():
+        raise ValueError(f"--out-dir: '{resolved['out_dir']}' is not an existing directory")
     return resolved
+
+
+def _checked(key, value):
+    """A config-file value of the flag's type (a float flag also takes an int)."""
+    kind = type(DEFAULTS[key])
+    if kind is float and type(value) is int:
+        value = float(value)
+    if key in LIST_KEYS and isinstance(value, list):
+        return value
+    if type(value) is not kind:
+        raise ValueError(f"--config: '{key}' must be a {kind.__name__}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ValueError(f"--config: '{key}' must be one of {CHOICES[key]}, got {value!r}")
+    return value
 
 
 def _experiment_config(res) -> ExperimentConfig:
     solver = SolverConfig(
-        max_iters=int(res["max_iters"]),
-        obj_tol=float(res["obj_tol"]),
-        bisect_tol=float(res["bisect_tol"]),
+        max_iters=res["max_iters"], obj_tol=res["obj_tol"], bisect_tol=res["bisect_tol"]
     )
     return ExperimentConfig(
-        M=int(res["m"]),
-        N=int(res["n"]),
-        K=int(res["k"]),
+        M=res["m"], N=res["n"], K=res["k"],
         snr_db_grid=parse_grid(res["snr_db"]),
         sigma_e2_grid=parse_grid(res["sigma_e2"]),
-        draws=int(res["draws"]),
-        schemes=_parse_schemes(res["schemes"]),
-        seed=int(res["seed"]),
-        solver=solver,
-        csit=str(res["csit"]),
-        bits=int(res["bits"]),
-        workers=int(res["workers"]),
-        timing=bool(res["timing"]),
+        draws=res["draws"], schemes=_parse_schemes(res["schemes"]), seed=res["seed"],
+        solver=solver, csit=res["csit"], bits=res["bits"],
+        workers=res["workers"], timing=res["timing"],
     )
 
 
@@ -152,27 +167,17 @@ def _point_config(res) -> ExperimentConfig:
     return _experiment_config({**res, **point})
 
 
-def _out_dir(res) -> Path:
-    out = Path(res["out_dir"])
-    if not out.is_dir():
-        raise ValueError(f"--out-dir: '{res['out_dir']}' is not an existing directory")
-    return out
-
-
-def _emit(result, out: Path, stem: str, fmt: str):
-    written = []
-    if fmt in ("csv", "both"):
-        write_csv(result, out / f"{stem}.csv")
-        written.append(str(out / f"{stem}.csv"))
-    if fmt in ("json", "both"):
-        write_json(result, out / f"{stem}.json")
-        written.append(str(out / f"{stem}.json"))
-    return written
+def _write(out: Path, fmt: str, texts: dict):
+    """Write each named text whose suffix fmt selects ('both' selects all), in order."""
+    for name, text in texts.items():
+        if fmt in ("both", Path(name).suffix[1:]):
+            with open(out / name, "w", newline="\n") as fh:
+                fh.write(text)
+            print(f"wrote {out / name}")
 
 
 def _cmd_sweep(args) -> int:
     res = _resolve(args)
-    out = _out_dir(res)
     result = run_experiment(_experiment_config(res))
     for cell in result.cells:
         sig = "quantized" if cell.sigma_e2 is None else f"{cell.sigma_e2:g}"
@@ -181,14 +186,13 @@ def _cmd_sweep(args) -> int:
             f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits "
             f"({cell.draws_used} draws, {cell.failures} failed)"
         )
-    for path in _emit(result, out, "sweep", res["format"]):
-        print(f"wrote {path}")
+    texts = {"sweep.csv": csv_text(result), "sweep.json": json_summary(result)}
+    _write(res["out_dir"], res["format"], texts)
     return 0
 
 
 def _cmd_converge(args) -> int:
     res = _resolve(args)
-    out = _out_dir(res)
     cfg = _point_config(res)
     snr = cfg.snr_db_grid[0]
     traces = []
@@ -206,18 +210,14 @@ def _cmd_converge(args) -> int:
         "iterations": iters,
         "objective_traces_nats": traces,
     }
-    fmt = res["format"]
-    if fmt in ("json", "both"):
-        with open(out / "converge.json", "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {out / 'converge.json'}")
-    if fmt in ("csv", "both"):
-        lines = ["run,iteration,objective_nats"]
-        for i, tr in enumerate(traces):
-            lines.extend(f"{i},{j},{v:.10g}" for j, v in enumerate(tr))
-        with open(out / "converge.csv", "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {out / 'converge.csv'}")
+    lines = ["run,iteration,objective_nats"]
+    for i, tr in enumerate(traces):
+        lines.extend(f"{i},{j},{v:.10g}" for j, v in enumerate(tr))
+    texts = {
+        "converge.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "converge.csv": "\n".join(lines) + "\n",
+    }
+    _write(res["out_dir"], res["format"], texts)
     print(
         f"{len(traces)} runs, median {np.median(iters):.0f} iterations, "
         f"max {max(iters)} at snr_db={snr:g}"
@@ -227,15 +227,12 @@ def _cmd_converge(args) -> int:
 
 def _cmd_cdf(args) -> int:
     res = _resolve(args)
-    out = _out_dir(res)
     cfg = _point_config(res)
     result = run_experiment(cfg)
     lines = ["scheme,sum_rate_bits,prob"]
     summary = {}
     for scheme in cfg.schemes:
-        samples = sorted(
-            r.sum_rate_bits for r in result.records if r.scheme == scheme
-        )
+        samples = sorted(r.sum_rate_bits for r in result.records if r.scheme == scheme)
         cdf = empirical_cdf(samples)
         for x in samples:
             lines.append(f"{scheme},{x:.10g},{float(cdf(x)):.10g}")
@@ -248,30 +245,22 @@ def _cmd_cdf(args) -> int:
             f"{scheme}: median {summary[scheme]['median']:.3f} bits, "
             f"10-90% [{summary[scheme]['p10']:.3f}, {summary[scheme]['p90']:.3f}]"
         )
-    fmt = res["format"]
-    if fmt in ("csv", "both"):
-        with open(out / "cdf.csv", "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {out / 'cdf.csv'}")
-    if fmt in ("json", "both"):
-        payload = {
-            "snr_db": cfg.snr_db_grid[0],
-            "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
-            "version": version_string(),
-            "summary": summary,
-        }
-        with open(out / "cdf.json", "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {out / 'cdf.json'}")
+    payload = {
+        "snr_db": cfg.snr_db_grid[0],
+        "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
+        "version": version_string(),
+        "summary": summary,
+    }
+    texts = {
+        "cdf.csv": "\n".join(lines) + "\n",
+        "cdf.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    }
+    _write(res["out_dir"], res["format"], texts)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    results = selfcheck.run_all(
-        seed=args.seed if args.seed is not None else 0,
-        quick=args.quick,
-        workers=args.workers if args.workers is not None else 1,
-    )
+    results = selfcheck.run_all(seed=args.seed, quick=args.quick, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 1
@@ -293,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
     p = sub.add_parser("selftest", help="run the built-in verification battery")
     p.add_argument("--quick", action="store_true", help="reduced sizes for a fast pass")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

@@ -12,7 +12,7 @@ import math
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,17 +25,19 @@ from .solver import SolverConfig
 
 SIGMA_N2 = 1.0  # noise power is the reference level; SNR sets rho directly
 
-CSV_COLUMNS = (
-    "scheme",
-    "snr_db",
-    "sigma_e2",
-    "draw",
-    "sum_rate_bits",
-    "rc_min_bits",
-    "iterations",
-    "t_final",
-    "solver_seconds",
-)
+# the sweep CSV's columns, in order, with the format spec of each value
+CSV_FORMAT = {
+    "scheme": "",
+    "snr_db": ".6g",
+    "sigma_e2": ".10g",
+    "draw": "",
+    "sum_rate_bits": ".10g",
+    "rc_min_bits": ".10g",
+    "iterations": "",
+    "t_final": ".8f",
+    "solver_seconds": ".6f",
+}
+CSV_COLUMNS = tuple(CSV_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class ExperimentConfig:
     timing: bool = True
 
     def __post_init__(self):
+        for name in ("snr_db_grid", "sigma_e2_grid"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.draws < 1:
             raise ValueError("draws must be at least 1")
         if not self.snr_db_grid or (self.csit == "estimation" and not self.sigma_e2_grid):
@@ -65,7 +69,7 @@ class ExperimentConfig:
             raise ValueError("at least one scheme is required")
         for s in self.schemes:
             if s not in SCHEMES:
-                raise ValueError(f"unknown scheme '{s}'; choose from {tuple(SCHEMES)}")
+                raise ValueError(f"unknown scheme '{s}'; choose from {SCHEMES}")
         if self.csit not in ("estimation", "quantized"):
             raise ValueError(f"csit mode must be 'estimation' or 'quantized', got '{self.csit}'")
         if self.csit == "quantized" and self.bits < 1:
@@ -122,19 +126,19 @@ def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     """
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_idx, snr_idx, draw))
     rng = np.random.default_rng(ss)
-    rho = 10.0 ** (float(cfg.snr_db_grid[snr_idx]) / 10.0)
+    rho = 10.0 ** (cfg.snr_db_grid[snr_idx] / 10.0)
     if cfg.csit == "quantized":
         chans, _ = channels.sample_quantized_csit(cfg.M, cfg.N, cfg.K, cfg.bits, rng)
     else:
-        sig = float(cfg.sigma_e2_grid[sigma_idx])
-        chans = channels.sample_estimation_channel(cfg.M, cfg.N, cfg.K, [sig] * cfg.K, rng)
+        sig = [cfg.sigma_e2_grid[sigma_idx]] * cfg.K
+        chans = channels.sample_estimation_channel(cfg.M, cfg.N, cfg.K, sig, rng)
     return chans, rho
 
 
 def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     """One paired work item: sample channels once, design and score every scheme."""
     chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
-    snr_db = float(cfg.snr_db_grid[snr_idx])
+    snr_db = cfg.snr_db_grid[snr_idx]
     records, failures = [], []
     for scheme in cfg.schemes:
         start = time.perf_counter()
@@ -218,9 +222,8 @@ def _summarize(cfg: ExperimentConfig, items, outputs):
             groups.setdefault((sigma_idx, snr_idx, f["scheme"]), ([], []))[1].append(f)
     cells = []
     for sigma_idx in _sigma_indices(cfg):
-        label = float(cfg.sigma_e2_grid[sigma_idx]) if cfg.csit == "estimation" else None
-        for snr_idx in range(len(cfg.snr_db_grid)):
-            snr_db = float(cfg.snr_db_grid[snr_idx])
+        label = cfg.sigma_e2_grid[sigma_idx] if cfg.csit == "estimation" else None
+        for snr_idx, snr_db in enumerate(cfg.snr_db_grid):
             for scheme in cfg.schemes:
                 sel, fails = groups.get((sigma_idx, snr_idx, scheme), ((), ()))
                 rates_arr = np.array([r.sum_rate_bits for r in sel], dtype=float)
@@ -282,25 +285,9 @@ def version_string() -> str:
 
 def config_fingerprint(cfg: ExperimentConfig) -> dict:
     """Experiment-defining fields; execution details like worker count excluded."""
-    return {
-        "M": cfg.M,
-        "N": cfg.N,
-        "K": cfg.K,
-        "snr_db_grid": [float(x) for x in cfg.snr_db_grid],
-        "sigma_e2_grid": [float(x) for x in cfg.sigma_e2_grid],
-        "draws": cfg.draws,
-        "schemes": list(cfg.schemes),
-        "seed": cfg.seed,
-        "csit": cfg.csit,
-        "bits": cfg.bits,
-        "timing": cfg.timing,
-        "solver": {
-            "max_iters": cfg.solver.max_iters,
-            "obj_tol": cfg.solver.obj_tol,
-            "bisect_tol": cfg.solver.bisect_tol,
-            "t_clamp": cfg.solver.t_clamp,
-        },
-    }
+    fp = asdict(cfg)
+    del fp["workers"]
+    return fp
 
 
 def csv_text(result: ExperimentResult) -> str:
@@ -311,11 +298,7 @@ def csv_text(result: ExperimentResult) -> str:
         ",".join(CSV_COLUMNS),
     ]
     for r in result.records:
-        lines.append(
-            f"{r.scheme},{r.snr_db:.6g},{r.sigma_e2:.10g},{r.draw},"
-            f"{r.sum_rate_bits:.10g},{r.rc_min_bits:.10g},{r.iterations},"
-            f"{r.t_final:.8f},{r.solver_seconds:.6f}"
-        )
+        lines.append(",".join(format(getattr(r, col), spec) for col, spec in CSV_FORMAT.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -323,21 +306,7 @@ def json_summary(result: ExperimentResult) -> str:
     payload = {
         "config": config_fingerprint(result.config),
         "version": version_string(),
-        "cells": [
-            {
-                "scheme": c.scheme,
-                "snr_db": c.snr_db,
-                "sigma_e2": c.sigma_e2,
-                "esr_bits": c.esr_bits,
-                "std_err": c.std_err,
-                "draws_used": c.draws_used,
-                "failures": c.failures,
-                "boundary_hits": c.boundary_hits,
-                "mean_iterations": c.mean_iterations,
-                "mean_solver_seconds": c.mean_solver_seconds,
-            }
-            for c in result.cells
-        ],
+        "cells": [asdict(c) for c in result.cells],
         "failures": result.failures,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

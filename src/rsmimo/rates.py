@@ -28,6 +28,12 @@ import numpy as np
 LN2 = np.log(2.0)
 
 
+def side_by_side(X):
+    """The side-by-side M x NK matrix [X_1, ..., X_K] of a (K, M, N) stack."""
+    K, M, N = X.shape
+    return X.transpose(1, 0, 2).reshape(M, K * N)
+
+
 @dataclass(frozen=True)
 class PrecoderSet:
     """Common precoder Pc (M x N), private precoders Pp (K, M, N), power budget rho.
@@ -49,8 +55,7 @@ class PrecoderSet:
 
     def private(self):
         """Concatenation [P_1, ..., P_K], shape M x NK."""
-        K, M, N = self.Pp.shape
-        return self.Pp.transpose(1, 0, 2).reshape(M, K * N)
+        return side_by_side(self.Pp)
 
     def power(self) -> float:
         return float(np.vdot(self.Pc, self.Pc).real + np.vdot(self.Pp, self.Pp).real)

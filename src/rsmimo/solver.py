@@ -23,6 +23,7 @@ from .rates import (
     cholesky_solve,
     f1_from_bundles,
     herm,
+    side_by_side,
     weights,
 )
 
@@ -67,12 +68,6 @@ def _blocks(Pp_cat, K):
     return Pp_cat.reshape(M, K, -1).transpose(1, 0, 2)
 
 
-def _side_by_side(X):
-    """The side-by-side M x NK matrix [X_1, ..., X_K] of a (K, M, N) stack."""
-    K, M, N = X.shape
-    return X.transpose(1, 0, 2).reshape(M, K * N)
-
-
 def _all_private(P: PrecoderSet) -> PrecoderSet:
     """Drop the common precoder and rescale the private ones to the full budget."""
     scale = np.sqrt(P.rho / float(np.vdot(P.Pp, P.Pp).real))
@@ -86,7 +81,7 @@ def initialize(H_hat, rho, sigma_e2_rep):
     K, M, N = H.shape
     if M < N:
         raise ValueError("need at least as many transmit antennas as receive antennas")
-    stack = H.transpose(1, 0, 2).reshape(M, K * N)
+    stack = side_by_side(H)
     if _frob(stack) < 1e-12:
         raise ValueError("degenerate all-zero channel estimate")
     t0 = 1.0 if sigma_e2_rep == 0.0 else min(1.0, 1.0 / (rho * sigma_e2_rep))
@@ -117,7 +112,7 @@ def _block_system(H_hat, sigma_e2, D, W):
     T = H @ D.conj().swapaxes(1, 2)
     TW = T @ W
     quad = checked_real(np.einsum("kij,kij->k", W @ D, D.conj()))
-    A = herm(_side_by_side(TW) @ _side_by_side(T).conj().T)
+    A = herm(side_by_side(TW) @ side_by_side(T).conj().T)
     A += float(np.dot(sigma_e2, quad)) * np.eye(M)
     return A, TW, float(quad.sum())
 
@@ -131,7 +126,7 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     if not (0.0 < t_star <= 1.0):
         raise ValueError("t_star must lie in (0, 1]")
     B, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dp_list, Wp_list)
-    V = _side_by_side(TW)
+    V = side_by_side(TW)
     lam1 = sigma_n2 * tr_wdd / (rho * t_star)
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")

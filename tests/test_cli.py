@@ -73,6 +73,10 @@ def test_help_and_usage_exit_codes(capsys):
         ("sweep", "--config", {"snr_db": [None]}),
         ("converge", "--snr-db", ","),  # empty grid
         ("converge", "--schemes", "rbd"),  # converge validates the sweep keys
+        ("sweep", "--config", {"timing": "false"}),  # values must match the flag's type
+        ("sweep", "--config", {"draws": 1.9}),
+        ("sweep", "--config", {"draws": True}),
+        ("sweep", "--config", {"format": "xml"}),
     ],
 )
 def test_invalid_usage_exits_2(argv, tmp_path, capsys):
@@ -102,6 +106,13 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"draws": 2, "antennas": 8}))
     assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("5")
+    assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- commands
