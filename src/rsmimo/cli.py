@@ -43,7 +43,14 @@ DEFAULTS = {
     "timing": True,
 }
 CHOICES = {"format": ("csv", "json", "both"), "csit": ("estimation", "quantized")}
-LIST_KEYS = ("snr_db", "sigma_e2", "schemes")  # a config file may give these as JSON lists
+# a config file may give these as JSON lists whose elements have these types
+LIST_ELEMENTS = {"snr_db": (int, float), "sigma_e2": (int, float), "schemes": (str,)}
+HELP = {
+    "snr_db": "grid: start:step:stop or comma list",
+    "sigma_e2": "grid: start:step:stop or comma list",
+    "schemes": "comma list from: proposed, rwmmse, mrt",
+    "timing": "write zeros in the solver_seconds column for byte-reproducible output",
+}
 
 
 def parse_grid(text):
@@ -74,35 +81,19 @@ def parse_grid(text):
 
 def _parse_schemes(text):
     if isinstance(text, (list, tuple)):
-        return tuple(str(s) for s in text)
+        return tuple(text)
     return tuple(s.strip() for s in str(text).split(",") if s.strip())
 
 
 def _add_common(p):
+    """One flag per DEFAULTS key, of its default's type; every flag defaults to None."""
     p.add_argument("--config", help="JSON file holding the same keys as the flags")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--snr-db", dest="snr_db", help="grid: start:step:stop or comma list")
-    p.add_argument("--sigma-e2", dest="sigma_e2", help="grid: start:step:stop or comma list")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--schemes", help="comma list from: proposed, rwmmse, mrt")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--obj-tol", dest="obj_tol", type=float)
-    p.add_argument("--bisect-tol", dest="bisect_tol", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--format", choices=CHOICES["format"])
-    p.add_argument("--csit", choices=CHOICES["csit"])
-    p.add_argument("--bits", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument(
-        "--no-timing",
-        dest="timing",
-        action="store_false",
-        default=None,
-        help="write zeros in the solver_seconds column for byte-reproducible output",
-    )
+    for key, default in DEFAULTS.items():
+        if type(default) is bool:  # --no-timing, the one switch
+            p.add_argument(f"--no-{key}", dest=key, action="store_false", default=None, help=HELP[key])
+        else:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=type(default), choices=CHOICES.get(key), help=HELP.get(key))
 
 
 def _resolve(args):
@@ -138,7 +129,11 @@ def _checked(key, value):
     kind = type(DEFAULTS[key])
     if kind is float and type(value) is int:
         value = float(value)
-    if key in LIST_KEYS and isinstance(value, list):
+    if key in LIST_ELEMENTS and isinstance(value, list):
+        kinds = LIST_ELEMENTS[key]
+        if any(type(v) not in kinds for v in value):
+            names = " or ".join(t.__name__ for t in kinds)
+            raise ValueError(f"--config: '{key}' list elements must be {names}, got {value!r}")
         return value
     if type(value) is not kind:
         raise ValueError(f"--config: '{key}' must be a {kind.__name__}, got {value!r}")
@@ -194,6 +189,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_converge(args) -> int:
     res = _resolve(args)
     cfg = _point_config(res)
+    if "proposed" not in cfg.schemes:
+        raise ValueError("converge traces the proposed design; --schemes must include proposed")
     snr = cfg.snr_db_grid[0]
     traces = []
     iters = []
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, blurb in (
         ("sweep", _cmd_sweep, "ergodic sum rate over an SNR grid"),
-        ("converge", _cmd_converge, "objective traces at one operating point"),
+        ("converge", _cmd_converge, "traces of the proposed design at one operating point"),
         ("cdf", _cmd_cdf, "empirical sum-rate CDF at one operating point"),
     ):
         p = sub.add_parser(name, help=blurb)

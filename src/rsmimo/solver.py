@@ -58,10 +58,6 @@ class CommonCollapse(ValueError):
     """The closed-form common precoder direction vanished."""
 
 
-def _frob(X) -> float:
-    return float(np.linalg.norm(X))
-
-
 def _blocks(Pp_cat, K):
     """Stacked (K, M, N) view of the side-by-side private precoders [P_1, ..., P_K]."""
     M = Pp_cat.shape[0]
@@ -81,14 +77,11 @@ def initialize(H_hat, rho, sigma_e2_rep):
     K, M, N = H.shape
     if M < N:
         raise ValueError("need at least as many transmit antennas as receive antennas")
-    stack = side_by_side(H)
-    if _frob(stack) < 1e-12:
-        raise ValueError("degenerate all-zero channel estimate")
-    t0 = 1.0 if sigma_e2_rep == 0.0 else min(1.0, 1.0 / (rho * sigma_e2_rep))
+    t0 = 1.0 / max(1.0, rho * sigma_e2_rep)  # also 1 where rho * sigma_e2_rep underflows to 0
     if t0 >= 1.0:
         Pc = np.zeros((M, N), dtype=complex)
     else:
-        left, _, _ = np.linalg.svd(stack, full_matrices=False)
+        left, _, _ = np.linalg.svd(side_by_side(H), full_matrices=False)
         Pc = np.sqrt(rho * (1.0 - t0) / N) * left[:, :N]
     norms = np.linalg.norm(H, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
@@ -131,26 +124,25 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")
     Pp_bar = cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
-    return np.sqrt(rho * t_star) * Pp_bar / _frob(Pp_bar), B, V
+    return np.sqrt(rho * t_star) * Pp_bar / np.linalg.norm(Pp_bar), B, V
 
 
 def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     """Closed-form common precoder at power rho*(1 - t_star), M x N.
 
     Returns (Pc, A, U), A and U being the block's quadratic and linear terms.
-    Pc is zero when t_star >= 1 leaves no common power. Raises
-    CommonCollapse when the common direction vanishes (norm below 1e-12).
+    Raises CommonCollapse when the common direction vanishes (norm below 1e-12).
     """
+    if not (0.0 < t_star < 1.0):
+        raise ValueError("t_star must lie in (0, 1)")
     A, TW, tr_wdd = _block_system(H_hat, sigma_e2, Dc_list, Wc_list)
     U = TW.sum(axis=0)
-    if t_star >= 1.0:
-        return np.zeros_like(U), A, U
     cross = checked_real(np.vdot(Pp_cat, A @ Pp_cat))
     lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
     if lam2 <= 0.0:
         raise ValueError("non-positive common multiplier; filters are degenerate")
     Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
-    scale = _frob(Pc_bar)
+    scale = np.linalg.norm(Pc_bar)
     if scale < 1e-12:
         raise CommonCollapse("common precoder direction collapsed")
     return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
@@ -221,58 +213,43 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     bundles = all_bundles(H, sigma_e2, P, sigma_n2)
     f_cur = f1_from_bundles(bundles)
     trace = [f_cur]
-    converged = False
     boundary_hits = []
-    iterations = 0
 
     for it in range(cfg.max_iters):
-        iterations = it + 1
         try:
-            Wp = weights(bundles).Wp
-            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, Wp, rho, t, sigma_n2)
-            Pp = _blocks(Pp_cat, K)
-            t_new = 1.0
-            if sdma_locked:
-                P_new = PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=Pp, rho=P.rho)
-            else:
-                mid = all_bundles(H, sigma_e2, PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho), sigma_n2)
+            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, weights(bundles).Wp, rho, t, sigma_n2)
+            Pc, t_new, flag = np.zeros_like(P.Pc), 1.0, ""
+            if not sdma_locked:
+                P_mid = PrecoderSet(Pc=P.Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+                mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
                 try:
-                    Pc_new, A, U = solve_p2(
+                    Pc, A, U = solve_p2(
                         H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2
                     )
                 except CommonCollapse:
                     # continue as an all-private design
-                    sdma_locked = True
-                    boundary_hits.append((it, "sdma"))
-                    P_new = _all_private(PrecoderSet(Pc=P.Pc, Pp=Pp, rho=P.rho))
+                    sdma_locked, flag = True, "sdma"
                 else:
-                    Pc_norm = Pc_new / _frob(Pc_new)
-                    Pp_norm = Pp_cat / _frob(Pp_cat)
-                    t_new, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg)
-                    if flag:
-                        boundary_hits.append((it, flag))
-                    P_new = PrecoderSet(
-                        Pc=np.sqrt(rho * (1.0 - t_new)) * Pc_norm,
-                        Pp=_blocks(np.sqrt(rho * t_new) * Pp_norm, K),
-                        rho=P.rho,
-                    )
+                    Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
+                    t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho, cfg)
+                    Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
+                if flag:
+                    boundary_hits.append((it, flag))
+            P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+            if flag == "sdma":
+                P_new = _all_private(P_new)
             _check_power(P_new, rho, f"iteration {it}")
             bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
             f_new = f1_from_bundles(bundles_new)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
 
-        if f_new > f_cur:
-            # the sweep overshot a fixed point; keep the previous iterate
-            converged = True
+        converged = f_cur - f_new < cfg.obj_tol * abs(f_cur)
+        if f_new <= f_cur:  # a sweep that overshot a fixed point is discarded
+            P, t, bundles, f_cur = P_new, t_new, bundles_new, f_new
+            trace.append(f_new)
+        if converged:
             break
-        P, t, bundles = P_new, t_new, bundles_new
-        trace.append(f_new)
-        if f_cur - f_new < cfg.obj_tol * abs(f_cur):
-            f_cur = f_new
-            converged = True
-            break
-        f_cur = f_new
 
     if not sdma_locked and t > 1.0 - 1e-4:
         # nearly all-private solution: drop the residual common component
@@ -283,7 +260,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         P=P,
         t=float(t),
         objective_trace=trace,
-        iterations=iterations,
+        iterations=it + 1,
         converged=converged,
         boundary_hits=tuple(boundary_hits),
     )

@@ -77,6 +77,11 @@ def test_help_and_usage_exit_codes(capsys):
         ("sweep", "--config", {"draws": 1.9}),
         ("sweep", "--config", {"draws": True}),
         ("sweep", "--config", {"format": "xml"}),
+        ("sweep", "--config", {"sigma_e2": [False]}),  # list elements are checked too
+        ("sweep", "--config", {"snr_db": [True]}),
+        ("sweep", "--config", {"snr_db": ["10"]}),
+        ("sweep", "--config", {"schemes": ["mrt", 1]}),
+        ("converge", "--schemes", "mrt", "--draws", "1", "--snr-db", "20"),  # nothing to trace
     ],
 )
 def test_invalid_usage_exits_2(argv, tmp_path, capsys):
@@ -189,6 +194,17 @@ def test_config_file_resolution_and_flag_override(tmp_path):
         l for l in (tmp_path / "sweep.csv").read_text().splitlines() if not l.startswith("#")
     ][1:]
     assert len(rows) == 3
+
+
+def test_config_file_accepts_json_lists(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m": 4, "n": 1, "k": 2, "snr_db": [0, 10.0], "sigma_e2": [0.2],
+        "draws": 2, "schemes": ["mrt"], "timing": False,
+    }))
+    assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path)) == 0
+    cells = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+    assert [(c["scheme"], c["snr_db"], c["draws_used"]) for c in cells] == [("mrt", 0.0, 2), ("mrt", 10.0, 2)]
 
 
 def test_converge_writes_monotone_traces(tmp_path, capsys):
