@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selfcheck
 from .evaluate import (
     SIGMA_N2,
     ExperimentConfig,
@@ -257,6 +256,8 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selfcheck  # the acceptance battery is loaded by this command only
+
     results = selfcheck.run_all(seed=args.seed, quick=args.quick, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

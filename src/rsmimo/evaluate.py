@@ -12,7 +12,7 @@ import math
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 from . import channels
 from .baselines import SCHEMES, design_precoders
 from .rates import instantaneous_rates
-from .solver import SolverConfig
+from .solver import SolverConfig, initial_split
 
 SIGMA_N2 = 1.0  # noise power is the reference level; SNR sets rho directly
 
@@ -135,44 +135,60 @@ def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     return chans, rho
 
 
-def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
-    """One paired work item: sample channels once, design and score every scheme."""
-    chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
-    snr_db = cfg.snr_db_grid[snr_idx]
-    records, failures = [], []
-    for scheme in cfg.schemes:
-        start = time.perf_counter()
-        try:
-            P, iters, t_final, hits = design_precoders(
-                scheme, chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver
-            )
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            failures.append(
-                {
-                    "scheme": scheme,
-                    "snr_db": snr_db,
-                    "sigma_e2": chans.sigma_e2[0],
-                    "draw": draw,
-                    "error": str(exc),
-                }
-            )
-            continue
-        seconds = time.perf_counter() - start if cfg.timing else 0.0
-        Rc, _, sum_rate = instantaneous_rates(chans.H, P, SIGMA_N2)
-        records.append(
-            DrawRecord(
-                scheme=scheme,
-                snr_db=snr_db,
-                sigma_e2=float(chans.sigma_e2[0]),
-                draw=draw,
-                sum_rate_bits=float(sum_rate),
-                rc_min_bits=float(min(Rc)),
-                iterations=int(iters),
-                t_final=float(t_final),
-                solver_seconds=float(seconds),
-                boundary_hits=int(hits),
-            )
+def _design_and_score(cfg: ExperimentConfig, chans, rho, snr_db, draw, scheme):
+    """One scheme's design on one draw: its DrawRecord, or a failure dict."""
+    start = time.perf_counter()
+    try:
+        P, iters, t_final, hits = design_precoders(
+            scheme, chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver
         )
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        return {
+            "scheme": scheme,
+            "snr_db": snr_db,
+            "sigma_e2": chans.sigma_e2[0],
+            "draw": draw,
+            "error": str(exc),
+        }
+    seconds = time.perf_counter() - start if cfg.timing else 0.0
+    Rc, _, sum_rate = instantaneous_rates(chans.H, P, SIGMA_N2)
+    return DrawRecord(
+        scheme=scheme,
+        snr_db=snr_db,
+        sigma_e2=float(chans.sigma_e2[0]),
+        draw=draw,
+        sum_rate_bits=float(sum_rate),
+        rc_min_bits=float(min(Rc)),
+        iterations=int(iters),
+        t_final=float(t_final),
+        solver_seconds=float(seconds),
+        boundary_hits=int(hits),
+    )
+
+
+def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
+    """One paired work item: sample channels once, design and score every scheme.
+
+    Where `proposed` starts all-private it is the `rwmmse` design step for
+    step, so when both are requested the first of them is designed and its
+    record or failure, solver_seconds included, stands for the other too.
+    """
+    chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
+    twins = ()
+    if {"proposed", "rwmmse"} <= set(cfg.schemes) and initial_split(rho, max(chans.sigma_e2)) >= 1.0:
+        twins = ("proposed", "rwmmse")
+    records, failures, shared = [], [], None
+    for scheme in cfg.schemes:
+        if scheme in twins and shared is not None:
+            if isinstance(shared, DrawRecord):
+                outcome = replace(shared, scheme=scheme)
+            else:
+                outcome = {**shared, "scheme": scheme}
+        else:
+            outcome = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
+            if scheme in twins:
+                shared = outcome
+        (records if isinstance(outcome, DrawRecord) else failures).append(outcome)
     return records, failures
 
 

@@ -1,8 +1,10 @@
 """Alternating block solver for the robust rate-splitting precoder design.
 
-Each outer iteration refreshes filters and weights, solves the private and
-common precoder blocks in closed form, then rebalances the common/private
-power split by bisection on the scalar split variable t.
+Each sweep refreshes filters and weights, solves the private and common
+precoder blocks in closed form, then rebalances the common/private power split
+by bisection on the scalar split variable t. `run` groups the sweeps into
+SQUAREM cycles: two sweeps, an extrapolation along them and one stabilizing
+sweep from the extrapolated point.
 
 Channel estimates and private precoders are (K, M, N) arrays; the closed-form
 blocks work on the side-by-side M x NK matrix [P_1, ..., P_K] and accept
@@ -46,12 +48,28 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
+    """A finished design.
+
+    `termination` is 'tol' (a sweep improved by less than obj_tol), 'overshoot'
+    (a sweep, possibly a stabilizing one, would have raised the objective and
+    was discarded) or 'max_iters'. `extrapolations` counts the sweeps started
+    from an extrapolated point and `extrapolations_accepted` those that were
+    kept.
+    """
+
     P: PrecoderSet
     t: float
     objective_trace: list
     iterations: int
-    converged: bool
+    termination: str
     boundary_hits: tuple = field(default=())
+    extrapolations: int = 0
+    extrapolations_accepted: int = 0
+
+    @property
+    def converged(self) -> bool:
+        """False only when the run stopped at max_iters."""
+        return self.termination != "max_iters"
 
 
 class CommonCollapse(ValueError):
@@ -70,14 +88,23 @@ def _all_private(P: PrecoderSet) -> PrecoderSet:
     return PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=scale * P.Pp, rho=P.rho)
 
 
+def initial_split(rho, sigma_e2_rep):
+    """t' = min(1, 1/(rho sigma_e2)), also 1 where rho * sigma_e2 underflows to 0.
+
+    At t' = 1 `run` starts all-private and stays so, which makes the proposed
+    design the same as the rwmmse one, step for step.
+    """
+    return 1.0 / max(1.0, rho * sigma_e2_rep)
+
+
 def initialize(H_hat, rho, sigma_e2_rep):
-    """Power split t' = min(1, 1/(rho sigma_e2)) with a singular-space common
+    """Power split t' = initial_split(rho, sigma_e2) with a singular-space common
     precoder and equal-power matched private precoders; exact total power rho."""
     H = np.asarray(H_hat)
     K, M, N = H.shape
     if M < N:
         raise ValueError("need at least as many transmit antennas as receive antennas")
-    t0 = 1.0 / max(1.0, rho * sigma_e2_rep)  # also 1 where rho * sigma_e2_rep underflows to 0
+    t0 = initial_split(rho, sigma_e2_rep)
     if t0 >= 1.0:
         Pc = np.zeros((M, N), dtype=complex)
     else:
@@ -186,15 +213,51 @@ def _check_power(P: PrecoderSet, rho, where):
         raise RuntimeError(f"{where}: power constraint violated ({P.power():.12g} vs {rho:.12g})")
 
 
-def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), force_sdma=False):
-    """Alternating descent on the design objective.
+def _extrapolate(P0, P1, P2, step_max, locked, t_clamp):
+    """SQUAREM step (Varadhan & Roland 2008) from three successive iterates.
 
-    Accepts a sweep only when it does not increase the objective; the first
-    sweep whose relative improvement falls below obj_tol (or which would
-    increase the objective, in which case it is discarded) ends the run.
+    With r = P1 - P0 and v = P2 - 2 P1 + P0 over all precoder blocks, the step
+    alpha = -||r|| / ||v|| is clamped to [-step_max, -1]; alpha = -1 gives P2
+    itself, and P and t are then None. Otherwise P is P0 - 2 alpha r + alpha^2 v
+    rescaled to the power budget, with split t = ||Pp||^2 / rho. Returns
+    (alpha, P, t), or None when t leaves [t_clamp, 1 - t_clamp]. An all-private
+    design keeps its zero common block and t = 1.
+    """
+    X0, X1, X2 = (np.concatenate([P.Pc[None], P.Pp]) for P in (P0, P1, P2))
+    r = X1 - X0
+    v = X2 - X1 - r
+    rr, vv = float(np.vdot(r, r).real), float(np.vdot(v, v).real)
+    alpha = -min(step_max, max(1.0, math.sqrt(rr / vv) if vv > 0.0 else math.inf))
+    if alpha == -1.0:
+        return alpha, None, None
+    X = X0 - 2.0 * alpha * r + alpha**2 * v
+    X *= math.sqrt(P0.rho / float(np.vdot(X, X).real))
+    t = 1.0 if locked else float(np.vdot(X[1:], X[1:]).real) / P0.rho
+    if not locked and not t_clamp <= t <= 1.0 - t_clamp:
+        return None
+    return alpha, PrecoderSet(Pc=X[0], Pp=X[1:], rho=P0.rho), t
+
+
+def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), force_sdma=False):
+    """Alternating descent on the design objective, accelerated by SQUAREM cycles.
+
+    A cycle makes two sweeps P0 -> P1 -> P2, extrapolates along them
+    (`_extrapolate`) and makes one stabilizing sweep from the extrapolated
+    point. A cycle skips the extrapolation when the all-private lock changed
+    during it or the extrapolated split leaves the clamp interval. step_max
+    starts at 1 and grows by 4 each time a capped step is kept.
+
+    Every sweep, the stabilizing one included, is measured against the last
+    accepted objective (f(P2) for the stabilizing sweep), so the trace holds
+    accepted values only and never rises. After each sweep, a relative
+    improvement below obj_tol ends the run ('tol'); a sweep that would
+    increase the objective is discarded and ends it too ('overshoot'), which
+    keeps P2 when the stabilizing sweep fails. `max_iters` counts sweeps,
+    stabilizing ones included.
     `force_sdma` pins the common precoder to zero and t to 1 throughout.
     The bundles behind each accepted objective value serve the next sweep's
-    private block, so a sweep computes bundles twice (once if all-private).
+    private block, so a sweep computes bundles twice (once if all-private),
+    and an extrapolated point once more.
     """
     H = np.asarray(H_hat)
     K = len(H)
@@ -207,51 +270,76 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     P, t = initialize(H, rho, max(sigma_e2))
     if force_sdma and t < 1.0:
         P, t = _all_private(P), 1.0
-    sdma_locked = t >= 1.0
+    locked = t >= 1.0
     _check_power(P, rho, "initialization")
+    boundary_hits = []
+
+    def sweep(it, P, t, bundles, locked):
+        """One pass of the block updates from P; returns (P, t, locked, bundles) after it."""
+        if bundles is None:
+            bundles = all_bundles(H, sigma_e2, P, sigma_n2)
+        Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, weights(bundles).Wp, rho, t, sigma_n2)
+        Pc, t_new, flag = np.zeros_like(P.Pc), 1.0, ""
+        if not locked:
+            P_mid = PrecoderSet(Pc=P.Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+            mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
+            try:
+                Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2)
+            except CommonCollapse:
+                # continue as an all-private design
+                locked, flag = True, "sdma"
+            else:
+                Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
+                t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho, cfg)
+                Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
+            if flag:
+                boundary_hits.append((it, flag))
+        P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+        if flag == "sdma":
+            P_new = _all_private(P_new)
+        _check_power(P_new, rho, f"iteration {it}")
+        return P_new, t_new, locked, all_bundles(H, sigma_e2, P_new, sigma_n2)
 
     bundles = all_bundles(H, sigma_e2, P, sigma_n2)
     f_cur = f1_from_bundles(bundles)
     trace = [f_cur]
-    boundary_hits = []
-
+    cycle, cycle_locked = [P], locked  # accepted iterates of the cycle so far, P0 first
+    start, alpha = (P, t, bundles), None  # alpha is set while the stabilizing sweep runs
+    step_max, tried, kept = 1.0, 0, 0
+    termination = "max_iters"
     for it in range(cfg.max_iters):
         try:
-            Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, weights(bundles).Wp, rho, t, sigma_n2)
-            Pc, t_new, flag = np.zeros_like(P.Pc), 1.0, ""
-            if not sdma_locked:
-                P_mid = PrecoderSet(Pc=P.Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
-                mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
-                try:
-                    Pc, A, U = solve_p2(
-                        H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2
-                    )
-                except CommonCollapse:
-                    # continue as an all-private design
-                    sdma_locked, flag = True, "sdma"
-                else:
-                    Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
-                    t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho, cfg)
-                    Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
-                if flag:
-                    boundary_hits.append((it, flag))
-            P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
-            if flag == "sdma":
-                P_new = _all_private(P_new)
-            _check_power(P_new, rho, f"iteration {it}")
-            bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
+            P_new, t_new, locked_new, bundles_new = sweep(it, *start, locked)
             f_new = f1_from_bundles(bundles_new)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
 
         converged = f_cur - f_new < cfg.obj_tol * abs(f_cur)
-        if f_new <= f_cur:  # a sweep that overshot a fixed point is discarded
-            P, t, bundles, f_cur = P_new, t_new, bundles_new, f_new
+        if f_new <= f_cur:  # a sweep that overshot is discarded, and then converged holds
+            P, t, locked, bundles, f_cur = P_new, t_new, locked_new, bundles_new, f_new
             trace.append(f_new)
+            kept += start[2] is None  # it started from an extrapolated point
+            if alpha == -step_max:
+                step_max *= 4.0
         if converged:
+            termination = "tol" if f_new <= f_cur else "overshoot"
             break
 
-    if not sdma_locked and t > 1.0 - 1e-4:
+        if alpha is None:
+            cycle.append(P)
+        else:
+            cycle, cycle_locked = [P], locked
+        start, alpha = (P, t, bundles), None
+        if len(cycle) == 3:
+            step = None if locked != cycle_locked else _extrapolate(*cycle, step_max, locked, cfg.t_clamp)
+            if step is None:
+                cycle, cycle_locked = [P], locked
+            else:
+                alpha, P_x, t_x = step
+                if P_x is not None:  # its bundles are computed inside the next sweep
+                    start, tried = (P_x, t_x, None), tried + 1
+
+    if not locked and t > 1.0 - 1e-4:
         # nearly all-private solution: drop the residual common component
         P, t = _all_private(P), 1.0
         _check_power(P, rho, "final rebalance")
@@ -261,6 +349,8 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         t=float(t),
         objective_trace=trace,
         iterations=it + 1,
-        converged=converged,
+        termination=termination,
         boundary_hits=tuple(boundary_hits),
+        extrapolations=tried,
+        extrapolations_accepted=kept,
     )

@@ -190,7 +190,7 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
         for k in range(K):
             R = sum(H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K)) + sigma_n2 * np.eye(N)
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
-            Mk = np.eye(N) - P[k].conj().T @ H[k] @ np.linalg.inv(R) @ H[k].conj().T @ P[k]
+            Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
             W.append(np.linalg.inv(0.5 * (Mk + Mk.conj().T)))
         Bmat = sum(H[k] @ D[k].conj().T @ W[k] @ D[k] @ H[k].conj().T for k in range(K))
@@ -212,6 +212,8 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
                 hi *= 2
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # lo and hi are adjacent floats: no later step moves them
                 if power(mid) > rho:
                     lo = mid
                 else:
@@ -257,7 +259,7 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
                 + sigma_n2 * np.eye(N)
             )
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
-            Mk = np.eye(N) - P[k].conj().T @ H[k] @ np.linalg.inv(R) @ H[k].conj().T @ P[k]
+            Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
             W.append(np.linalg.inv(0.5 * (Mk + Mk.conj().T)))
         Bmat = sum(H[k] @ D[k].conj().T @ W[k] @ D[k] @ H[k].conj().T for k in range(K))
@@ -334,6 +336,58 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
         scale = np.sqrt(rho / sum(np.sum(np.abs(Q) ** 2) for Q in Pp))
         return np.zeros((M, N), dtype=complex), [scale * Q for Q in Pp]
 
+    def sweep(Pc, Pp, t, locked):
+        B, lin, tr_p = block(bundles(Pc, Pp), common=False)
+        V = np.concatenate(lin, axis=1)
+        X = np.linalg.inv(B + sigma_n2 * tr_p / (rho * t) * eye_m) @ V
+        Pp_cat = np.sqrt(rho * t) * X / np.linalg.norm(X)
+        Pp_new = np.split(Pp_cat, K, axis=1)
+        if locked:
+            return np.zeros((M, N), dtype=complex), Pp_new, 1.0, True
+        A, lin, tr_c = block(bundles(Pc, Pp_new), common=True)
+        U = sum(lin)
+        cross = np.trace(A @ Pp_cat @ Pp_cat.conj().T).real
+        Y = np.linalg.inv(A + (sigma_n2 * tr_c + cross) / (rho * (1.0 - t)) * eye_m) @ U
+        if np.linalg.norm(Y) < 1e-12:
+            return *all_private(Pp_new), 1.0, True
+        Pc_n, Pp_n = Y / np.linalg.norm(Y), Pp_cat / np.linalg.norm(Pp_cat)
+        a = np.trace(U.conj().T @ Pc_n).real
+        b = np.trace(V.conj().T @ Pp_n).real
+        c = rho * (np.trace((A + B) @ Pp_n @ Pp_n.conj().T).real
+                   - np.trace(A @ Pc_n @ Pc_n.conj().T).real)
+
+        def deriv(x):
+            return np.sqrt(rho / (1.0 - x)) * a - np.sqrt(rho / x) * b + c
+
+        lo, hi = t_clamp, 1.0 - t_clamp
+        if deriv(lo) >= 0.0:
+            t_new = lo
+        elif deriv(hi) <= 0.0:
+            t_new = hi
+        else:
+            while hi - lo > bisect_tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if deriv(mid) < 0.0 else (lo, mid)
+            t_new = 0.5 * (lo + hi)
+        Pp_new = np.split(np.sqrt(rho * t_new) * Pp_n, K, axis=1)
+        return np.sqrt(rho * (1.0 - t_new)) * Pc_n, Pp_new, t_new, False
+
+    def extrapolate(cycle, step_max, locked):
+        """SQUAREM point from three iterates, block by block; None if t leaves the clamp."""
+        blocks = list(zip(*([Pc] + list(Pp) for Pc, Pp, _ in cycle)))  # (P0, P1, P2) per block
+        rr = sum(np.sum(np.abs(x1 - x0) ** 2) for x0, x1, _ in blocks)
+        vv = sum(np.sum(np.abs(x2 - 2.0 * x1 + x0) ** 2) for x0, x1, x2 in blocks)
+        alpha = -min(step_max, max(1.0, np.sqrt(rr / vv) if vv > 0.0 else np.inf))
+        if alpha == -1.0:
+            return alpha, None
+        X = [x0 - 2.0 * alpha * (x1 - x0) + alpha**2 * (x2 - 2.0 * x1 + x0) for x0, x1, x2 in blocks]
+        scale = np.sqrt(rho / sum(np.sum(np.abs(x) ** 2) for x in X))
+        X = [scale * x for x in X]
+        t = 1.0 if locked else sum(np.sum(np.abs(x) ** 2) for x in X[1:]) / rho
+        if not locked and not t_clamp <= t <= 1.0 - t_clamp:
+            return None
+        return alpha, (X[0], X[1:], t)
+
     # initialization: singular-space common precoder, matched private ones
     t0 = 1.0 if max(sigma_e2) == 0.0 else min(1.0, 1.0 / (rho * max(sigma_e2)))
     left = np.linalg.svd(np.concatenate(H_hat, axis=1), full_matrices=False)[0]
@@ -345,54 +399,32 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
     locked = t >= 1.0
     f_cur = objective(bundles(Pc, Pp))
     trace, iterations = [f_cur], 0
+    # SQUAREM cycles: two sweeps P0 -> P1 -> P2, then one stabilizing sweep
+    # from the extrapolated point; any sweep that ends above the last
+    # accepted objective is discarded and ends the run
+    cycle, start, alpha, step_max = [(Pc, Pp, locked)], (Pc, Pp, t), None, 1.0
     for it in range(max_iters):
         iterations = it + 1
-        B, lin, tr_p = block(bundles(Pc, Pp), common=False)
-        V = np.concatenate(lin, axis=1)
-        X = np.linalg.inv(B + sigma_n2 * tr_p / (rho * t) * eye_m) @ V
-        Pp_cat = np.sqrt(rho * t) * X / np.linalg.norm(X)
-        Pp_new = np.split(Pp_cat, K, axis=1)
-        t_new = 1.0
-        if locked:
-            Pc_new = np.zeros((M, N), dtype=complex)
-        else:
-            A, lin, tr_c = block(bundles(Pc, Pp_new), common=True)
-            U = sum(lin)
-            cross = np.trace(A @ Pp_cat @ Pp_cat.conj().T).real
-            Y = np.linalg.inv(A + (sigma_n2 * tr_c + cross) / (rho * (1.0 - t)) * eye_m) @ U
-            if np.linalg.norm(Y) < 1e-12:
-                locked = True
-                Pc_new, Pp_new = all_private(Pp_new)
-            else:
-                Pc_n, Pp_n = Y / np.linalg.norm(Y), Pp_cat / np.linalg.norm(Pp_cat)
-                a = np.trace(U.conj().T @ Pc_n).real
-                b = np.trace(V.conj().T @ Pp_n).real
-                c = rho * (np.trace((A + B) @ Pp_n @ Pp_n.conj().T).real
-                           - np.trace(A @ Pc_n @ Pc_n.conj().T).real)
-
-                def deriv(x):
-                    return np.sqrt(rho / (1.0 - x)) * a - np.sqrt(rho / x) * b + c
-
-                lo, hi = t_clamp, 1.0 - t_clamp
-                if deriv(lo) >= 0.0:
-                    t_new = lo
-                elif deriv(hi) <= 0.0:
-                    t_new = hi
-                else:
-                    while hi - lo > bisect_tol:
-                        mid = 0.5 * (lo + hi)
-                        lo, hi = (mid, hi) if deriv(mid) < 0.0 else (lo, mid)
-                    t_new = 0.5 * (lo + hi)
-                Pc_new = np.sqrt(rho * (1.0 - t_new)) * Pc_n
-                Pp_new = np.split(np.sqrt(rho * t_new) * Pp_n, K, axis=1)
+        Pc_new, Pp_new, t_new, locked_new = sweep(*start, locked)
         f_new = objective(bundles(Pc_new, Pp_new))
         if f_new > f_cur:
             break
-        Pc, Pp, t = Pc_new, Pp_new, t_new
+        Pc, Pp, t, locked = Pc_new, Pp_new, t_new, locked_new
         trace.append(f_new)
+        if alpha == -step_max:
+            step_max *= 4.0
         if f_cur - f_new < obj_tol * abs(f_cur):
             break
         f_cur = f_new
+        cycle = cycle + [(Pc, Pp, locked)] if alpha is None else [(Pc, Pp, locked)]
+        start, alpha = (Pc, Pp, t), None
+        if len(cycle) == 3:
+            step = None if cycle[0][2] != locked else extrapolate(cycle, step_max, locked)
+            if step is None:
+                cycle = [(Pc, Pp, locked)]
+            else:
+                alpha, point = step
+                start = point if point is not None else start
     if not locked and t > 1.0 - 1e-4:
         (Pc, Pp), t = all_private(Pp), 1.0
     return trace, iterations, t, Pc, Pp

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsmimo
 from rsmimo.cli import main, parse_grid
 from rsmimo.selfcheck import CheckResult
 
@@ -295,3 +300,9 @@ def test_selftest_exit_codes(monkeypatch, capsys):
 
     monkeypatch.setattr("rsmimo.selfcheck.run_all", fake_run_all_fail)
     assert run_cli("selftest") == 1
+
+
+def test_importing_the_cli_leaves_the_acceptance_battery_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]))
+    code = "import sys, rsmimo.cli; sys.exit('rsmimo.selfcheck' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -232,3 +232,41 @@ def test_empirical_cdf_matches_sort_count_oracle():
 def test_empirical_cdf_rejects_empty():
     with pytest.raises(ValueError):
         empirical_cdf([])
+
+
+def test_all_private_twins_are_designed_once_with_separate_design_rows(monkeypatch):
+    # rho * sigma_e2 <= 1 at 0 and 10 dB, so proposed starts all-private and
+    # equals rwmmse there; 30 dB designs both schemes
+    from rsmimo.baselines import design_precoders as real_design
+
+    calls = []
+
+    def counting(scheme, H_hat, sigma_e2, rho, *args):
+        calls.append((scheme, round(rho)))
+        return real_design(scheme, H_hat, sigma_e2, rho, *args)
+
+    def rows(schemes):
+        cfg = small_config(N=2, snr_db_grid=(0.0, 10.0, 30.0), sigma_e2_grid=(0.1,), draws=3,
+                           schemes=schemes, solver=SolverConfig())
+        return [ln for ln in csv_text(run_experiment(cfg)).splitlines() if not ln.startswith("#")]
+
+    monkeypatch.setattr("rsmimo.evaluate.design_precoders", counting)
+    together = rows(("mrt", "rwmmse", "proposed"))
+    assert sorted(set(calls)) == [("mrt", 1), ("mrt", 10), ("mrt", 1000),
+                                  ("proposed", 1000), ("rwmmse", 1), ("rwmmse", 10), ("rwmmse", 1000)]
+    assert len(calls) == 3 * 7
+    for scheme in ("mrt", "rwmmse", "proposed"):
+        alone = rows((scheme,))
+        assert alone[0] == together[0]
+        assert alone[1:] == [ln for ln in together[1:] if ln.startswith(scheme + ",")]
+
+
+def test_a_failed_twin_design_fails_both_schemes(monkeypatch):
+    def broken(scheme, *args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr("rsmimo.evaluate.design_precoders", broken)
+    cfg = small_config(draws=1, snr_db_grid=(0.0,), schemes=("proposed", "rwmmse"))
+    records, failures = evaluate._run_draw(cfg, 0, 0, 0)
+    assert records == [] and [f["scheme"] for f in failures] == ["proposed", "rwmmse"]
+    assert failures[0] == {**failures[1], "scheme": "proposed"}

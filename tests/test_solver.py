@@ -248,6 +248,35 @@ def test_run_continues_all_private_after_common_collapse(monkeypatch):
     assert state.iterations > 1 and state.t == 1.0
     assert not state.P.Pc.any()
 
+def test_run_skips_extrapolation_across_the_all_private_lock(monkeypatch):
+    # the common direction collapses in sweep 3, the first of the second
+    # cycle: that cycle mixes iterates with and without a common block and
+    # must not extrapolate along them
+    import rsmimo.solver as solver
+
+    real_p2, extrapolate = solver.solve_p2, solver._extrapolate
+    p2_calls, starts = [], []
+
+    def collapsing(*args):
+        p2_calls.append(1)
+        if len(p2_calls) == 4:
+            raise CommonCollapse("synthetic collapse")
+        return real_p2(*args)
+
+    def recording(P0, P1, P2, step_max, locked, t_clamp):
+        starts.append((P0.Pc.any(), locked))
+        return extrapolate(P0, P1, P2, step_max, locked, t_clamp)
+
+    monkeypatch.setattr(solver, "solve_p2", collapsing)
+    monkeypatch.setattr(solver, "_extrapolate", recording)
+    rng = make_rng(32)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 12.0, 1.0)  # low SNR, so the all-private sweep is kept
+    assert state.boundary_hits[-1] == (3, "sdma") and len(p2_calls) == 4
+    assert (True, False) in starts and (False, True) in starts
+    assert (True, True) not in starts
+    assert state.t == 1.0 and not state.P.Pc.any()
+
 # -------------------------------------------------------------- power split
 
 
@@ -408,7 +437,8 @@ def test_all_private_solution_is_stationary_on_power_sphere():
 
 def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
     # the bundles behind an accepted objective value feed the next sweep's
-    # private block: two bundle computations per sweep, one when all-private
+    # private block: two bundle computations per sweep, one when all-private,
+    # and one more at each extrapolated point
     calls = []
 
     def counting(*args):
@@ -419,11 +449,12 @@ def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
     rng = make_rng(39)
     H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
     state = run(H_hat, s2, 100.0, 1.0)
-    assert state.t < 1.0 and not state.boundary_hits
-    assert len(calls) == 1 + 2 * state.iterations
+    assert state.t < 1.0 and not state.boundary_hits and state.extrapolations > 0
+    assert len(calls) == 1 + 2 * state.iterations + state.extrapolations
     calls.clear()
     state = run(H_hat, s2, 100.0, 1.0, force_sdma=True)
-    assert len(calls) == 1 + state.iterations
+    assert state.extrapolations > 0
+    assert len(calls) == 1 + state.iterations + state.extrapolations
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42])
@@ -439,6 +470,86 @@ def test_run_matches_per_user_reference_loop(seed, force_sdma):
     np.testing.assert_allclose(state.P.full(), np.concatenate([Pc] + list(Pp), axis=1), rtol=0.0, atol=1e-8)
 
 
+def test_run_termination_tol():
+    rng = make_rng(45)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 100.0, 1.0)
+    assert state.termination == "tol" and state.converged
+    assert state.iterations < SolverConfig().max_iters
+    assert 0 < state.extrapolations_accepted <= state.extrapolations
+
+
+def test_run_termination_overshoot(monkeypatch):
+    # the second sweep, a plain one from an accepted iterate, raises the
+    # objective: it is discarded and ends the run
+    values = iter([10.0, 9.0, 9.5])
+    monkeypatch.setattr("rsmimo.solver.f1_from_bundles", lambda bundles: next(values))
+    rng = make_rng(46)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 100.0, 1.0)
+    assert state.termination == "overshoot" and state.converged
+    assert state.iterations == 2 and state.objective_trace == [10.0, 9.0]
+    assert state.extrapolations == 0
+
+
+def test_run_termination_max_iters():
+    rng = make_rng(47)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 1e4, 1.0, SolverConfig(max_iters=5))
+    assert state.termination == "max_iters" and not state.converged
+    assert state.iterations == 5
+
+
+def test_run_keeps_p2_when_the_stabilized_point_rises(monkeypatch):
+    # the first sweep started from an extrapolated point ends 1 nat higher
+    # than it should: run must discard it and end on P2, the trace never rising
+    import rsmimo.solver as solver
+
+    extrapolate, f1 = solver._extrapolate, solver.f1_from_bundles
+    pending, rejected = [], []
+
+    def marking(*args):
+        step = extrapolate(*args)
+        if step is not None and step[1] is not None:
+            pending.append(True)
+        return step
+
+    def rising(bundles):
+        f = f1(bundles)
+        if pending:
+            pending.clear()
+            rejected.append(f + 1.0)
+            return f + 1.0
+        return f
+
+    monkeypatch.setattr(solver, "_extrapolate", marking)
+    monkeypatch.setattr(solver, "f1_from_bundles", rising)
+    rng = make_rng(48)
+    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
+    state = run(H_hat, s2, 1e4, 1.0)
+    assert len(rejected) == 1 and rejected[0] > state.objective_trace[-1]
+    assert state.termination == "overshoot" and state.converged
+    assert state.extrapolations == 1 and state.extrapolations_accepted == 0
+    assert state.iterations == len(state.objective_trace)  # every sweep but the last was kept
+    assert np.all(np.diff(state.objective_trace) <= 0.0)
+    assert objective_f1(H_hat, s2, state.P, 1.0) == pytest.approx(state.objective_trace[-1], abs=1e-12)
+    assert abs(state.P.power() - 1e4) <= 1e-9 * 1e4
+
+
+def test_squarem_sweep_budget_at_high_snr():
+    # (8, 2, 4) with sigma_e2 = 0.1: the plain sweep needed a median of about
+    # 75 sweeps at 40 dB and hit the 100-sweep cap at 60 dB
+    def sweeps(snr_db, draws):
+        out = []
+        for d in range(draws):
+            chans = sample_estimation_channel(8, 2, 4, [0.1] * 4, make_rng(500 + d))
+            out.append(run(chans.H_hat, chans.sigma_e2, 10.0 ** (snr_db / 10.0), 1.0))
+        return out
+
+    assert np.median([st.iterations for st in sweeps(40.0, 12)]) <= 35
+    assert all(st.converged for st in sweeps(60.0, 6))
+
+
 # numpy.linalg entry points whose calls the sweep-cost test counts
 LINALG_FUNCTIONS = (
     "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
@@ -451,7 +562,8 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     # a proposed sweep makes 12 numpy.linalg calls: one Cholesky and one
     # triangular inverse for each of its two bundles and each of the P1 and
     # P2 solves, plus four norms; an all-private sweep makes 5 (one bundle
-    # and P1). Initialization adds one SVD, one norm and the first bundles.
+    # and P1). Initialization adds one SVD, one norm and the first bundles,
+    # and each extrapolated point one bundle (its step uses no numpy.linalg).
     calls = Counter()
     for name in LINALG_FUNCTIONS:
         original = getattr(np.linalg, name)
@@ -464,14 +576,14 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     rng = make_rng(43)
     H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
     state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
-    n = state.iterations
-    assert n > 1 and not any(flag == "sdma" for _, flag in state.boundary_hits)
+    n, e = state.iterations, state.extrapolations
+    assert n > 1 and e > 0 and not any(flag == "sdma" for _, flag in state.boundary_hits)
     if force_sdma:
-        expected = {"svd": 1, "norm": 1 + n, "cholesky": 1 + 2 * n, "inv": 1 + 2 * n}
+        expected = {"svd": 1, "norm": 1 + n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
     else:
-        expected = {"svd": 1, "norm": 1 + 4 * n, "cholesky": 1 + 4 * n, "inv": 1 + 4 * n}
+        expected = {"svd": 1, "norm": 1 + 4 * n, "cholesky": 1 + 4 * n + e, "inv": 1 + 4 * n + e}
     assert dict(calls) == expected
-    assert sum(calls.values()) == 4 + (5 if force_sdma else 12) * n
+    assert sum(calls.values()) == 4 + (5 if force_sdma else 12) * n + 2 * e
 
 
 def test_run_names_the_iteration_of_a_non_definite_system(monkeypatch):
