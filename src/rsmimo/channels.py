@@ -28,10 +28,26 @@ class ChannelSet:
     sigma_e2: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    entries: list
+    """Codewords as one read-only (count, M, N) complex array of semi-unitary matrices.
+
+    entries may be given as any array-like stack (a list of M x N matrices, say);
+    it is copied once, checked and stored read-only, so quantize_channel can
+    trust it. Codebooks compare by identity.
+    """
+
+    entries: np.ndarray
     bits: int
+
+    def __post_init__(self):
+        C = np.array(self.entries, dtype=complex)
+        if not (C.ndim == 3 and len(C) and C.shape[1] > C.shape[2] >= 1):
+            raise ValueError(f"codebook entries must be a non-empty stack of M x N codewords "
+                             f"with M > N >= 1, got shape {C.shape}")
+        _check_semi_unitary(C, "codeword")
+        C.flags.writeable = False
+        object.__setattr__(self, "entries", C)
 
 
 def complex_gaussian(rng: np.random.Generator, shape, var=1.0):
@@ -40,11 +56,13 @@ def complex_gaussian(rng: np.random.Generator, shape, var=1.0):
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _check_dims(M, N, K):
+def _check_dims(M, N, K=1):
     if not (isinstance(M, int) and isinstance(N, int) and isinstance(K, int)):
         raise ValueError("M, N, K must be integers")
-    if not (M > N >= 1 and K >= 1):
-        raise ValueError(f"need M > N >= 1 and K >= 1, got M={M}, N={N}, K={K}")
+    if not M > N >= 1:
+        raise ValueError(f"need M > N >= 1, got M={M}, N={N}")
+    if K < 1:
+        raise ValueError(f"need K >= 1, got K={K}")
 
 
 def sample_estimation_channel(M, N, K, sigma_e2, rng) -> ChannelSet:
@@ -70,11 +88,30 @@ def sample_estimation_channel(M, N, K, sigma_e2, rng) -> ChannelSet:
     return ChannelSet(H=H, H_hat=H_hat, E=E, sigma_e2=sigma_e2)
 
 
-def _check_semi_unitary(X, tol=1e-8):
-    """Reject a matrix, or any matrix of a stack, whose columns are not orthonormal."""
-    G = X.conj().swapaxes(-1, -2) @ X
-    if np.max(np.abs(G - np.eye(X.shape[-1]))) > tol:
-        raise ValueError("matrix is not semi-unitary within tolerance")
+def _check_semi_unitary(X, name="matrix", tol=1e-8):
+    """Reject a matrix, or a stack of them, unless every one has orthonormal columns.
+
+    The error names the first bad matrix by its index in the stack and gives
+    its max |X^H X - I|; non-finite entries count as bad.
+    """
+    # one vectorised inner product per column pair: far cheaper than a stack
+    # of tiny Gram matmuls when X holds thousands of codewords
+    Xc = X.conj()
+    err = np.zeros(X.shape[:-2])
+    for a in range(X.shape[-1]):
+        for b in range(a, X.shape[-1]):
+            g = np.einsum("...m,...m->...", Xc[..., a], X[..., b])
+            err = np.maximum(err, np.abs(g - (a == b)))
+    bad = np.argwhere(~(err <= tol))
+    if len(bad):
+        at = "".join(f" {i}" for i in bad[0])
+        raise ValueError(f"{name}{at} is not semi-unitary: max |X^H X - I| = {err[tuple(bad[0])]:.3g}")
+
+
+def _distances(Htilde, C):
+    """N - ||Htilde^H C||_F^2, clamped at 0, for one matrix C or each of a stack."""
+    proj = Htilde.conj().T @ C
+    return np.maximum(Htilde.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(-2, -1)), 0.0)
 
 
 def chordal_distance(Htilde, C):
@@ -84,20 +121,23 @@ def chordal_distance(Htilde, C):
     them (an array of distances is returned).
     """
     _check_semi_unitary(Htilde)
-    _check_semi_unitary(C)
-    proj = Htilde.conj().T @ C
-    return np.maximum(Htilde.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(-2, -1)), 0.0)
+    _check_semi_unitary(C, "codeword")
+    return _distances(Htilde, C)
 
 
 def random_codebook(M, N, bits, rng) -> Codebook:
     """Random codebook of 2**bits semi-unitary matrices from thin-QR of Gaussians."""
+    _check_dims(M, N)
     if not (1 <= bits <= MAX_CODEBOOK_BITS):
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
     # the random stream of one complex_gaussian(rng, (M, N)) per codeword:
     # real parts, then imaginary parts
     z = rng.standard_normal((2**bits, 2, M, N))
-    Q, _ = np.linalg.qr(np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1]))
-    return Codebook(entries=list(Q), bits=bits)
+    A = np.empty((2**bits, M, N), dtype=complex)
+    A.real, A.imag = z[:, 0], z[:, 1]
+    A *= np.sqrt(0.5)
+    Q, _ = np.linalg.qr(A)
+    return Codebook(entries=Q, bits=bits)
 
 
 def dominant_subspace(H):
@@ -113,13 +153,24 @@ def quantize_channel(H, codebook: Codebook):
     """Pick the codeword closest in chordal distance to the dominant subspace of H.
 
     Returns (index, codeword, distortion); ties resolve to the lowest index.
+    The codeword is a read-only view into the codebook.
     """
-    entries = codebook.entries
-    if len(entries) == 0:
-        raise ValueError("codebook is empty")
-    dist = chordal_distance(dominant_subspace(H), np.asarray(entries))
-    best = int(np.argmin(dist))
-    return best, entries[best], float(dist[best])
+    C = codebook.entries
+    count, M, N = C.shape
+    if np.shape(H) != (M, N):
+        raise ValueError(f"channel shape {np.shape(H)} does not match the codeword shape {(M, N)}")
+    U = dominant_subspace(H)
+    # One GEMM scores every codeword: with K = kron(conj(U), I_N), row i of
+    # C.reshape(count, M*N) @ K is U^H C_i flattened. Its rounding differs from
+    # the per-codeword matmul's, so every codeword within 1e-12 of the lowest
+    # score is rescored exactly, and the lowest exact distance wins.
+    K = (U.conj()[:, None, :, None] * np.eye(N)[:, None, :]).reshape(M * N, N * N)
+    proj = (C.reshape(count, M * N) @ K).view(np.float64)
+    score = np.maximum(N - np.einsum("ij,ij->i", proj, proj), 0.0)
+    near = np.flatnonzero(score <= score.min() + 1e-12)
+    exact = _distances(U, C[near])
+    best = int(np.argmin(exact))
+    return int(near[best]), C[near[best]], float(exact[best])
 
 
 def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
@@ -131,7 +182,16 @@ def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
     """
     K = len(H_list)
     M, N = H_list[0].shape
-    picks = [quantize_channel(Hk, book) for Hk, book in zip(H_list, codebooks)]
+    if len(codebooks) != K:
+        raise ValueError(f"expected one codebook per user, got {len(codebooks)} for {K} users")
+    picks = []
+    for k in range(K):
+        if np.shape(H_list[k]) != (M, N):
+            raise ValueError(f"user {k}: channel shape {np.shape(H_list[k])} differs from user 0's {(M, N)}")
+        try:
+            picks.append(quantize_channel(H_list[k], codebooks[k]))
+        except ValueError as exc:
+            raise ValueError(f"user {k}: {exc}") from exc
     words = [C for _, C, _ in picks]
     gamma_hat = float(np.mean([d for _, _, d in picks])) / N
     # gamma beyond (M-N)/M would imply negative known-part energy; clamp
@@ -152,12 +212,13 @@ def sample_quantized_csit(M, N, K, bits, rng) -> tuple[ChannelSet, float]:
 
 def save_codebook(path, codebook: Codebook, seed):
     """Persist a codebook as magic, M, N, bits, seed, then complex64 entries."""
-    M, N = codebook.entries[0].shape
+    count, M, N = codebook.entries.shape
+    if count != 2**codebook.bits:
+        raise ValueError(f"codebook has {count} entries, not 2**bits = {2**codebook.bits}")
     with open(path, "wb") as fh:
         fh.write(CODEBOOK_MAGIC)
         fh.write(CODEBOOK_HEADER.pack(M, N, codebook.bits, seed))
-        arr = np.stack(codebook.entries).astype(np.complex64)
-        fh.write(arr.tobytes(order="C"))
+        fh.write(codebook.entries.astype(np.complex64).tobytes(order="C"))
 
 
 def load_codebook(path) -> tuple[Codebook, int]:
@@ -183,4 +244,4 @@ def load_codebook(path) -> tuple[Codebook, int]:
         arr = np.frombuffer(fh.read(), dtype=np.complex64).reshape(2**bits, M, N)
     # float32 rounding breaks exact semi-unitarity; snap to the polar factor
     u, _, vh = np.linalg.svd(arr.astype(complex), full_matrices=False)
-    return Codebook(entries=list(u @ vh), bits=bits), seed
+    return Codebook(entries=u @ vh, bits=bits), seed

@@ -29,6 +29,19 @@ def brute_force_quantize(H, entries):
     return best_i, float(best_d)
 
 
+def stacked_quantize(H, entries):
+    """Chordal search with one stacked matmul over the codewords; returns (index, distortion).
+
+    The search as it was before the one-GEMM scoring: ties resolve to the
+    lowest index among the clamped distances.
+    """
+    U = np.linalg.svd(H, full_matrices=False)[0]
+    proj = U.conj().T @ np.asarray(entries)
+    dist = np.maximum(U.shape[1] - np.sum(proj.real**2 + proj.imag**2, axis=(-2, -1)), 0.0)
+    best = int(np.argmin(dist))
+    return best, float(dist[best])
+
+
 def rates_via_generalized_eig(H, Pc, Pp, sigma_n2):
     """Instantaneous rates from covariance pencils, per user.
 

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,3 +45,26 @@ def test_sweep_outputs_parse_and_summarize():
     rows, _ = workloads.parse_sweep_csv(ev.csv_text(result))
     summary = json.loads(ev.json_summary(result))
     assert workloads.sweep_structure_checks(rows, summary, "in-process sweep", grid) == []
+
+
+# per-layer metrics that a workload's own traced pass cannot reach; the run
+# fills them from probes (channels) or from a small sweep (evaluate, cli)
+PROBE_FILLED = {
+    "headline": {"channels.random_codebook.ms", "channels.quantize_channel.ms",
+                 "channels.quantized_csit_from_channels.ms"},
+    "limited_feedback": {"channels.sample_estimation_channel.us"},
+}
+
+
+@pytest.mark.parametrize("workload", ["headline", "limited_feedback"])
+def test_traced_pass_measures_every_layer_it_reaches(workload):
+    # a wrapped name the package no longer calls through its module leaves a
+    # per-layer metric null, and the benchmark counts that run as malformed
+    ctx = workloads.prepare(ROOT, workload, seed=1)
+    values, _, failed, problems, _, tracer = workloads.trace_designs(ctx, 1.0)
+    assert problems == []
+    assert failed == 0
+    assert tracer.absent == []
+    own = set(workloads.PER_LAYER_UNITS) - set(workloads.SWEEP_LAYER_METRICS) - PROBE_FILLED[workload]
+    assert own <= set(values), sorted(own - set(values))
+    assert {name: v for name, v in values.items() if not math.isfinite(v)} == {}

@@ -1,6 +1,8 @@
 # Channel model tests: estimation-error draws, subspace quantization, codebook IO.
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from rsmimo.channels import (
     sample_quantized_csit,
     save_codebook,
 )
-from oracles import brute_force_quantize, chordal_distance_svd
+from oracles import brute_force_quantize, chordal_distance_svd, stacked_quantize
 
 
 def test_estimation_channel_decomposition_exact():
@@ -149,7 +151,38 @@ def test_quantize_channel_matches_brute_force():
         i_ref, d_ref = brute_force_quantize(H, cb.entries)
         assert i == i_ref
         assert abs(d - d_ref) < 1e-12
-        assert C is cb.entries[i]
+        np.testing.assert_array_equal(C, cb.entries[i])
+
+
+@pytest.mark.parametrize("M,N,bits", [(2, 1, 1), (4, 1, 6), (6, 3, 8), (8, 2, 10), (8, 7, 5), (8, 2, 14)])
+def test_gemm_search_matches_stacked_search(M, N, bits):
+    # the one-GEMM scoring must pick the index and return the distortion, to
+    # the bit, that a stacked per-codeword search gives
+    rng = np.random.default_rng(1000 * M + 10 * N + bits)
+    book = random_codebook(M, N, bits, rng)
+    # one codeword copied to scattered slots (exact ties), and the same
+    # subspace under other bases in further slots (near ties: equal distances
+    # mathematically, different in the last bits, which the GEMM's rounding
+    # can order differently from the exact distances)
+    C = np.array(book.entries)
+    slots = np.sort(rng.choice(len(C), size=min(4, len(C)), replace=False))
+    C[slots] = C[slots[0]]
+    others = rng.permutation(np.setdiff1d(np.arange(len(C)), slots))[:12]
+    for j in others:
+        C[j] = C[slots[0]] @ np.linalg.qr(complex_gaussian(rng, (N, N)))[0]
+    dup = Codebook(entries=C, bits=bits)
+    drawn = [complex_gaussian(rng, (M, N)) for _ in range(6)]
+    planted = [C[slots[-1]] @ (complex_gaussian(rng, (N, N)) + 3.0 * np.eye(N)) for _ in range(3)]
+    nearby = [H + 1e-4 * complex_gaussian(rng, (M, N)) for H in planted for _ in range(4)]
+    for cb in (book, dup):
+        for H in drawn + planted + nearby:
+            i, word, d = quantize_channel(H, cb)
+            i_ref, d_ref = stacked_quantize(H, cb.entries)
+            assert (i, d) == (i_ref, d_ref)
+            np.testing.assert_array_equal(word, cb.entries[i])
+    for H in planted:
+        # a later copy of the planted codeword never wins over the first
+        assert quantize_channel(H, dup)[0] not in slots[1:]
 
 
 def test_quantize_channel_recovers_planted_codeword():
@@ -180,7 +213,7 @@ def test_quantize_channel_rejects_empty_codebook():
 def test_superset_codebook_never_quantizes_worse():
     rng = np.random.default_rng(8)
     small = random_codebook(6, 2, 3, rng)
-    big = Codebook(entries=small.entries + random_codebook(6, 2, 3, rng).entries, bits=4)
+    big = Codebook(entries=np.concatenate([small.entries, random_codebook(6, 2, 3, rng).entries]), bits=4)
     for _ in range(10):
         H = complex_gaussian(rng, (6, 2))
         _, _, d_small = quantize_channel(H, small)
@@ -288,3 +321,74 @@ def test_load_codebook_rejects_out_of_range_header(tmp_path, M, N, bits):
     with pytest.raises(ValueError, match="bad codebook header") as info:
         load_codebook(path)
     assert str(path) in str(info.value)
+
+
+def test_codebook_entries_are_one_read_only_array():
+    rng = np.random.default_rng(14)
+    book = random_codebook(6, 2, 3, rng)
+    assert book.entries.shape == (8, 6, 2) and book.entries.dtype == np.complex128
+    with pytest.raises(ValueError, match="read-only"):
+        book.entries[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        book.entries = np.zeros((8, 6, 2))
+    _, word, _ = quantize_channel(complex_gaussian(rng, (6, 2)), book)
+    with pytest.raises(ValueError, match="read-only"):
+        word[0, 0] = 1.0
+    # a list of codewords is copied once, so the source stays the caller's
+    source = [np.array(C) for C in book.entries]
+    copy = Codebook(entries=source, bits=3)
+    source[0][:] = 0.0
+    np.testing.assert_array_equal(copy.entries, book.entries)
+    # codebooks compare by identity, without an elementwise array comparison
+    assert copy == copy and copy != book and len({copy, book}) == 2
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[], np.zeros((0, 6, 2)), np.zeros((6, 2)), np.zeros((4, 2, 6)), np.zeros((4, 2, 2))],
+    ids=["empty-list", "no-codewords", "one-matrix", "wide", "square"],
+)
+def test_codebook_rejects_bad_shapes(entries):
+    with pytest.raises(ValueError, match="stack of M x N codewords"):
+        Codebook(entries=entries, bits=1)
+
+
+def test_codebook_names_a_codeword_that_is_not_semi_unitary():
+    C = np.array(random_codebook(6, 2, 3, np.random.default_rng(15)).entries)
+    C[5] *= 1.5  # Gram diagonal 2.25
+    with pytest.raises(ValueError, match=r"codeword 5 is not semi-unitary: max \|X\^H X - I\| = 1\.25"):
+        Codebook(entries=C, bits=3)
+    C[5] /= 1.5
+    C[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="codeword 2 is not semi-unitary"):
+        Codebook(entries=C, bits=3)
+
+
+def test_random_codebook_rejects_wide_codewords():
+    # used to return 4 x 4 codewords for a 4 x 6 request
+    with pytest.raises(ValueError, match="need M > N >= 1, got M=4, N=6"):
+        random_codebook(4, 6, 3, np.random.default_rng(0))
+
+
+def test_quantized_csit_names_the_user_with_a_bad_codebook():
+    rng = np.random.default_rng(16)
+    H = [complex_gaussian(rng, (8, 2)) for _ in range(4)]
+    books = [random_codebook(8, 2, 3, rng) for _ in range(3)]
+    # used to die with an IndexError
+    with pytest.raises(ValueError, match="one codebook per user, got 3 for 4 users"):
+        quantized_csit_from_channels(H, books)
+    # used to raise numpy's matmul shape error
+    books.insert(2, random_codebook(6, 2, 3, rng))
+    with pytest.raises(ValueError, match=r"user 2: channel shape \(8, 2\) does not match the codeword shape \(6, 2\)"):
+        quantized_csit_from_channels(H, books)
+    # used to return a ChannelSet whose sigma_e2 took M from user 0 only
+    H[3], books[2] = complex_gaussian(rng, (6, 2)), books[0]
+    books[3] = random_codebook(6, 2, 3, rng)
+    with pytest.raises(ValueError, match=r"user 3: channel shape \(6, 2\) differs from user 0's \(8, 2\)"):
+        quantized_csit_from_channels(H, books)
+
+
+def test_save_codebook_rejects_a_count_that_is_not_two_to_the_bits(tmp_path):
+    C = random_codebook(6, 2, 2, np.random.default_rng(17)).entries
+    with pytest.raises(ValueError, match="3 entries, not 2\\*\\*bits = 4"):
+        save_codebook(tmp_path / "cb.bin", Codebook(entries=C[:3], bits=2), seed=0)
