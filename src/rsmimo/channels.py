@@ -13,13 +13,13 @@ CODEBOOK_HEADER = struct.Struct("<IIIQ")  # M, N, bits, seed
 MAX_CODEBOOK_BITS = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One channel realization: true channels, transmitter-side estimates, errors.
 
     H[k] = H_hat[k] + E[k]; exact in estimation mode where H is formed as the
     sum, to rounding in quantized mode where E is the residual. sigma_e2[k] is
-    the per-entry error variance consumed by the robust solver.
+    the per-entry error variance consumed by the robust solver. Compares by identity.
     """
 
     H: list
@@ -145,7 +145,7 @@ def dominant_subspace(H):
     # left singular vectors of H avoid squaring the condition number
     u, s, _ = np.linalg.svd(H, full_matrices=False)
     if s[-1] < 1e-12:
-        raise ValueError("channel is numerically rank deficient")
+        raise ValueError(f"channel is numerically rank deficient: smallest singular value {s[-1]:.3g} < 1e-12")
     return u
 
 

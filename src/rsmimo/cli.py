@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -264,7 +263,8 @@ def _cmd_selftest(args) -> int:
     return 0 if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # loaded only when a command line is parsed
     parser = argparse.ArgumentParser(
         prog="rsmimo",
         description="Robust rate-splitting precoding experiments for MU-MIMO downlink",

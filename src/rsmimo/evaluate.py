@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from . import channels
+from . import __version__, channels
 from .baselines import SCHEMES, design_precoders
 from .rates import instantaneous_rates
 from .solver import SolverConfig, initial_split
@@ -205,6 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.workers == 1:
         outputs = [_run_draw(*args) for args in items]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool run
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(_run_draw, *args) for args in items]
             outputs = [f.result() for f in futures]
@@ -282,7 +281,7 @@ def empirical_cdf(samples):
 
 @lru_cache(maxsize=1)
 def version_string() -> str:
-    from . import __version__
+    import subprocess  # loaded only to ask git for the commit
 
     try:
         head = subprocess.run(
@@ -294,7 +293,7 @@ def version_string() -> str:
         )
         if head.returncode == 0:
             return f"{__version__}+g{head.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return __version__
 

@@ -34,12 +34,12 @@ def side_by_side(X):
     return X.transpose(1, 0, 2).reshape(M, K * N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecoderSet:
     """Common precoder Pc (M x N), private precoders Pp (K, M, N), power budget rho.
 
     Pp may be given as any sequence of M x N blocks; it is stored as one
-    array, so iterating over it still yields the per-user blocks.
+    array, so iterating over it still yields the per-user blocks. Compares by identity.
     """
 
     Pc: np.ndarray
@@ -71,7 +71,7 @@ class _PerUser:
         return type(self)(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MseBundle(_PerUser):
     """MMSE filters, error matrices, their log-dets and inverses; all_bundles
     stacks them over users.
@@ -94,7 +94,7 @@ class MseBundle(_PerUser):
     Mp_inv: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightBundle(_PerUser):
     """Weight matrices and softmax weights; weights() stacks them over users."""
 

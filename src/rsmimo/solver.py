@@ -46,7 +46,7 @@ class SolverConfig:
             raise ValueError("t_clamp must lie in (0, 1e-3]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverState:
     """A finished design.
 
@@ -54,7 +54,7 @@ class SolverState:
     (a sweep, possibly a stabilizing one, would have raised the objective and
     was discarded) or 'max_iters'. `extrapolations` counts the sweeps started
     from an extrapolated point and `extrapolations_accepted` those that were
-    kept.
+    kept. States compare and hash by identity.
     """
 
     P: PrecoderSet
@@ -112,7 +112,8 @@ def initialize(H_hat, rho, sigma_e2_rep):
         Pc = np.sqrt(rho * (1.0 - t0) / N) * left[:, :N]
     norms = np.linalg.norm(H, axis=1, keepdims=True)
     if np.any(norms < 1e-12):
-        raise ValueError("degenerate channel estimate column")
+        k, _, n = np.argwhere(norms < 1e-12)[0]
+        raise ValueError(f"user {k}: channel estimate column {n} has norm {norms[k, 0, n]:.3g} < 1e-12")
     Pp = np.sqrt(rho * t0 / (K * N)) * (H / norms)
     return PrecoderSet(Pc=Pc, Pp=Pp, rho=float(rho)), t0
 

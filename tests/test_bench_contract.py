@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +36,16 @@ def test_one_draw_is_clean(workload):
     assert out.failed == 0
     assert set(out.states) == set(workloads.SOLVED)
     assert set(out.sum_rate) == set(workloads.SCHEMES)
+
+
+def test_setup_probe_prints_positive_seconds():
+    # the probe times importing rsmimo and building a workload's inputs in a
+    # fresh interpreter; it exits non-zero if rsmimo loads before its timer
+    probe = [sys.executable, str(ROOT / "bench" / "setup_probe.py"), "--workload", "headline", "--seed", "1"]
+    proc = subprocess.run(probe, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seconds = float(proc.stdout.splitlines()[-1])
+    assert 0.0 < seconds < math.inf
 
 
 def test_sweep_outputs_parse_and_summarize():

@@ -142,6 +142,27 @@ def test_dominant_subspace_matches_svd_and_rejects_rank_deficient():
         dominant_subspace(np.concatenate([col, col], axis=1))  # rank 1
 
 
+@pytest.mark.parametrize("smallest", [1e-13, 1e-11, 1e-8])
+def test_dominant_subspace_guard_through_quantization(smallest):
+    # a true channel whose smallest singular value sits below the 1e-12 guard
+    # is rejected naming the user; just above it the subspace is still an
+    # orthonormal basis and the quantized estimate is finite
+    rng = np.random.default_rng(6)
+    books = [random_codebook(6, 2, 4, rng) for _ in range(3)]
+    H = [complex_gaussian(rng, (6, 2)) for _ in range(3)]
+    u, s, vh = np.linalg.svd(H[1], full_matrices=False)
+    H[1] = (u * [s[0], smallest]) @ vh
+    if smallest < 1e-12:
+        with pytest.raises(ValueError, match=r"user 1: .*rank deficient: smallest singular value .* < 1e-12"):
+            quantized_csit_from_channels(H, books)
+        return
+    U = dominant_subspace(H[1])
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-12)
+    chans, gamma = quantized_csit_from_channels(H, books)
+    assert np.isfinite(gamma) and 0.0 < chans.sigma_e2[0] < 1.0
+    assert all(np.all(np.isfinite(h)) for h in chans.H_hat)
+
+
 def test_quantize_channel_matches_brute_force():
     rng = np.random.default_rng(5)
     cb = random_codebook(6, 2, 5, rng)

@@ -306,3 +306,28 @@ def test_importing_the_cli_leaves_the_acceptance_battery_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]))
     code = "import sys, rsmimo.cli; sys.exit('rsmimo.selfcheck' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+IMPORT_HYGIENE = """
+import sys
+from dataclasses import replace
+from rsmimo import baselines, channels, cli, evaluate, rates, solver
+heavy = {"concurrent.futures", "multiprocessing", "argparse", "subprocess"}
+assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))
+cfg = evaluate.ExperimentConfig(M=4, N=1, K=2, snr_db_grid=(0.0, 20.0), sigma_e2_grid=(0.2,), draws=3,
+                                schemes=("proposed", "rwmmse", "mrt"), seed=11, timing=False)
+serial = evaluate.csv_text(evaluate.run_experiment(cfg))
+assert "concurrent.futures" not in sys.modules
+pooled = evaluate.csv_text(evaluate.run_experiment(replace(cfg, workers=2)))
+assert "concurrent.futures" in sys.modules
+assert pooled == serial
+"""
+
+
+def test_design_stack_imports_without_pool_parser_or_git():
+    # the design path, in-process sweeps and the CLI module load no process
+    # pool, argument parser or subprocess machinery; a pooled run loads the
+    # pool itself and writes the same bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

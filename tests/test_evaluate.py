@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import empirical_cdf_sorted
-from rsmimo import evaluate
+import rsmimo
+from rsmimo import channels, evaluate
 from rsmimo.baselines import mrt_precoder
 from rsmimo.channels import sample_estimation_channel
 from rsmimo.evaluate import (
@@ -118,6 +121,14 @@ def test_csv_layout_and_zeroed_timing(tmp_path):
     assert payload["version"] == version_string()
     assert version_string().startswith("0.1.0")
     assert len(payload["cells"]) == len(result.cells)
+
+
+def test_version_string_falls_back_when_git_hangs(monkeypatch):
+    def hang(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert version_string.__wrapped__() == rsmimo.__version__  # past the cache
 
 
 def test_summary_cells_are_keyed_on_grid_indices():
@@ -270,3 +281,78 @@ def test_a_failed_twin_design_fails_both_schemes(monkeypatch):
     records, failures = evaluate._run_draw(cfg, 0, 0, 0)
     assert records == [] and [f["scheme"] for f in failures] == ["proposed", "rwmmse"]
     assert failures[0] == {**failures[1], "scheme": "proposed"}
+
+
+def _plant_rank_deficiency(monkeypatch, scale):
+    """Make draw 1 of every grid point nearly rank deficient for one user.
+
+    In estimation mode one estimate column of that user gets norm `scale`; in
+    quantized mode the user's true channel gets smallest singular value
+    `scale` and is requantized with fresh 4-bit codebooks. Returns the lists
+    that collect every designed PrecoderSet and the planted user's smallest
+    column norm (estimation) or singular value (quantized) per planted draw.
+    """
+    draw_channels, design = evaluate.draw_channels, evaluate.design_precoders
+    designs, planted_sizes = [], []
+
+    def planted(cfg, sigma_idx, snr_idx, draw):
+        chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
+        if draw != 1:
+            return chans, rho
+        k = snr_idx % cfg.K
+        if cfg.csit == "estimation":
+            H_hat = [h.copy() for h in chans.H_hat]
+            H_hat[k][:, -1] *= scale / np.linalg.norm(H_hat[k][:, -1])
+            planted_sizes.append(np.linalg.norm(H_hat[k], axis=0).min())
+            return replace(chans, H=[h + e for h, e in zip(H_hat, chans.E)], H_hat=H_hat), rho
+        H = list(chans.H)
+        u, s, vh = np.linalg.svd(H[k], full_matrices=False)
+        H[k] = (u * np.append(s[:-1], scale)) @ vh
+        planted_sizes.append(np.linalg.svd(H[k], compute_uv=False)[-1])
+        rng = np.random.default_rng(snr_idx)
+        books = [channels.random_codebook(cfg.M, cfg.N, 4, rng) for _ in range(cfg.K)]
+        return channels.quantized_csit_from_channels(H, books)[0], rho
+
+    def recording(*args):
+        out = design(*args)
+        designs.append(out[0])
+        return out
+
+    monkeypatch.setattr(evaluate, "draw_channels", planted)
+    monkeypatch.setattr(evaluate, "design_precoders", recording)
+    return designs, planted_sizes
+
+
+RANK_GRID = dict(M=6, N=2, K=3, snr_db_grid=(0.0, 20.0, 60.0), draws=2,
+                 schemes=("proposed", "rwmmse", "mrt"), solver=SolverConfig(), seed=9)
+
+
+@pytest.mark.parametrize("csit", ["estimation", "quantized"])
+@pytest.mark.parametrize("scale", [1e-11, 1e-10, 1e-8, 1e-6])
+def test_nearly_rank_deficient_draws_are_designed_and_scored(monkeypatch, csit, scale):
+    # just above the 1e-12 guards, where the Cholesky factorizations of the
+    # MSE bundles would be the first to break: every draw is still designed,
+    # scored and written, with nothing non-finite and nothing dropped
+    designs, planted_sizes = _plant_rank_deficiency(monkeypatch, scale)
+    cfg = small_config(**RANK_GRID, csit=csit, bits=4, sigma_e2_grid=(0.0, 0.1))
+    result = run_experiment(cfg)
+    cells = len(cfg.snr_db_grid) * (len(cfg.sigma_e2_grid) if csit == "estimation" else 1)
+    assert len(planted_sizes) == cells
+    np.testing.assert_allclose(planted_sizes, scale, rtol=1e-3)
+    assert result.failures == []
+    assert len(result.records) == cells * cfg.draws * len(cfg.schemes)
+    assert all(c.draws_used == cfg.draws and c.failures == 0 for c in result.cells)
+    assert all(np.all(np.isfinite(P.full())) for P in designs)
+    assert all(np.isfinite([r.sum_rate_bits, r.rc_min_bits, r.t_final]).all() for r in result.records)
+    text = csv_text(result).lower()
+    assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("csit, message", [
+    ("estimation", r"user [0-2]: channel estimate column 1 has norm 1e-13 < 1e-12"),
+    ("quantized", r"user [0-2]: channel is numerically rank deficient: smallest singular value .* < 1e-12"),
+], ids=["estimation", "quantized"])
+def test_rank_deficient_draw_below_the_guard_stops_the_run_naming_it(monkeypatch, csit, message):
+    _plant_rank_deficiency(monkeypatch, 1e-13)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(small_config(**RANK_GRID, csit=csit, bits=4, sigma_e2_grid=(0.1,)))

@@ -1,13 +1,16 @@
 # Rate/MSE algebra tests cross-checked against the dense oracles in oracles.py.
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_instance, random_precoders
-from rsmimo.solver import run
+from rsmimo.channels import sample_estimation_channel
+from rsmimo.solver import SolverConfig, run
 from oracles import (
     dense_mse_blocks,
     fd_gradient,
@@ -424,3 +427,32 @@ def test_logsumexp_matches_naive_and_bounds_max(xs):
     assert abs(val - ref) < 1e-9 * max(1.0, abs(ref))
     assert val >= max(xs) - 1e-12
     assert val <= max(xs) + np.log(len(xs)) + 1e-12
+
+
+# --------------------------------------------------------- array records
+
+
+def _array_records():
+    """One of each dataclass that holds arrays, by name."""
+    rng = make_rng(17)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    P = random_precoders(rng, 6, 2, 3)
+    bundles = all_bundles(H_hat, s2, P, 1.0)
+    return {
+        "PrecoderSet": P,
+        "ChannelSet": sample_estimation_channel(6, 2, 3, s2, rng),
+        "MseBundle": bundles,
+        "WeightBundle": weights(bundles),
+        "SolverState": run(H_hat, s2, 100.0, 1.0, SolverConfig(max_iters=3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["PrecoderSet", "ChannelSet", "MseBundle", "WeightBundle", "SolverState"])
+def test_array_records_compare_and_hash_by_identity(name):
+    # field-wise == would ask numpy for the truth value of an array and raise,
+    # and a field-wise hash would hash an ndarray
+    record = _array_records()[name]
+    assert type(record).__name__ == name
+    twin = copy.deepcopy(record)  # equal fields held in distinct arrays
+    assert record == record and record != twin and not record == twin
+    assert hash(record) == hash(record) and len({record, twin, record}) == 2

@@ -116,6 +116,24 @@ def test_initialize_rejects_degenerate_inputs():
         initialize(bad, 10.0, 0.1)
 
 
+@pytest.mark.parametrize("norm", [1e-13, 1e-11])
+def test_initialize_column_norm_guard_names_user_and_column(norm):
+    # below 1e-12 a column has no direction to match; just above it the
+    # matched private precoder still gets a unit-direction column
+    rng = make_rng(26)
+    H_hat, _ = random_instance(rng, 6, 2, 3, 0.1)
+    H_hat[2][:, 1] *= norm / np.linalg.norm(H_hat[2][:, 1])
+    if norm < 1e-12:
+        with pytest.raises(ValueError, match=r"user 2: channel estimate column 1 has norm 1e-13 < 1e-12"):
+            initialize(H_hat, 100.0, 0.1)
+        return
+    P, _ = initialize(H_hat, 100.0, 0.1)
+    assert np.all(np.isfinite(P.full())) and abs(P.power() - 100.0) <= 1e-12 * 100.0
+    direction = H_hat[2][:, 1] / norm
+    cos = abs(direction.conj() @ P.Pp[2][:, 1]) / np.linalg.norm(P.Pp[2][:, 1])
+    assert cos == pytest.approx(1.0, abs=1e-12)
+
+
 # ------------------------------------------------------------ private block
 
 
