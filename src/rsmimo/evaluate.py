@@ -170,23 +170,31 @@ def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     Where `proposed` starts all-private it is the `rwmmse` design step for
     step, so when both are requested the first of them is designed and its
     record or failure, solver_seconds included, stands for the other too.
+    A ValueError from the draw or a design is re-raised naming the item and scheme.
     """
-    chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
-    twins = ()
-    if {"proposed", "rwmmse"} <= set(cfg.schemes) and initial_split(rho, max(chans.sigma_e2)) >= 1.0:
-        twins = ("proposed", "rwmmse")
-    records, failures, shared = [], [], None
-    for scheme in cfg.schemes:
-        if scheme in twins and shared is not None:
-            if isinstance(shared, DrawRecord):
-                outcome = replace(shared, scheme=scheme)
+    scheme = None
+    try:
+        chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
+        twins = ()
+        if {"proposed", "rwmmse"} <= set(cfg.schemes) and initial_split(rho, max(chans.sigma_e2)) >= 1.0:
+            twins = ("proposed", "rwmmse")
+        records, failures, shared = [], [], None
+        for scheme in cfg.schemes:
+            if scheme in twins and shared is not None:
+                if isinstance(shared, DrawRecord):
+                    outcome = replace(shared, scheme=scheme)
+                else:
+                    outcome = {**shared, "scheme": scheme}
             else:
-                outcome = {**shared, "scheme": scheme}
-        else:
-            outcome = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
-            if scheme in twins:
-                shared = outcome
-        (records if isinstance(outcome, DrawRecord) else failures).append(outcome)
+                outcome = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
+                if scheme in twins:
+                    shared = outcome
+            (records if isinstance(outcome, DrawRecord) else failures).append(outcome)
+    except ValueError as exc:
+        quantized = f"quantized {cfg.bits} bits"
+        grid = f"sigma_e2={cfg.sigma_e2_grid[sigma_idx]}" if cfg.csit == "estimation" else quantized
+        item = f"snr_db={cfg.snr_db_grid[snr_idx]}, draw={draw}" + (f", scheme={scheme}" if scheme else "")
+        raise ValueError(f"{grid}, {item}: {exc}") from exc
     return records, failures
 
 

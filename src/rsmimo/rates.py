@@ -1,8 +1,9 @@
 """Rate and MSE algebra for rate-splitting transmission under imperfect CSIT.
 
 Conventions: optimization objectives are in nats, reported rates in bits.
-Hermitian products are explicitly symmetrized when they are formed, and every
-real-part extraction asserts that the imaginary residue is negligible.
+Hermitian products are explicitly symmetrized when they are formed (Z below,
+which only a Cholesky reads, is the exception), and every real-part extraction
+asserts that the imaginary residue is negligible.
 
 Per-user quantities are stacked on a leading user axis: the channel estimates
 and the private precoders are (K, M, N) arrays, the MSE and weight matrices
@@ -16,12 +17,15 @@ L21 = S^H L11^-H and L22 L22^H = I - S^H F^-1 S = M, the MMSE error matrix.
 With Lam = L^-1, whose diagonal blocks are L11^-1 and L22^-1, the MMSE filter
 is D = S^H F^-1 = L21 Lam11, log det M = 2 sum log diag L22, and
 M^-1 = Lam22^H Lam22. Z is positive definite exactly when F and M are, so a
-non-definite system still raises LinAlgError.
+non-definite system still raises LinAlgError. A bundle stores D, the log-dets
+and M^-1, which the solver reads, with F as formed and L22; F and M are
+derived from those only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,25 +77,30 @@ class _PerUser:
 
 @dataclass(frozen=True, eq=False)
 class MseBundle(_PerUser):
-    """MMSE filters, error matrices, their log-dets and inverses; all_bundles
-    stacks them over users.
+    """MMSE filters, error-matrix log-dets and inverses; all_bundles stacks them
+    over users. All come from one Cholesky factor per stream (module docstring).
 
-    F and G are the common- and private-stream receive covariances. Everything
-    else comes from one Cholesky factor of the augmented [[F, S], [S^H, I]] per
-    stream (see the module docstring), so the inverses Mc_inv and Mp_inv that
-    weights() needs cost no further factorization.
+    Stored: what the solver reads, the F and G blocks of Z as formed (F_raw,
+    G_raw) and the factor blocks L22c, L22p. Derived when read: the common- and
+    private-stream receive covariances F and G and the MMSE error matrices
+    Mc_mmse and Mp_mmse.
     """
 
-    F: np.ndarray
-    G: np.ndarray
     Dc: np.ndarray
     Dp: np.ndarray
-    Mc_mmse: np.ndarray
-    Mp_mmse: np.ndarray
     logdet_c: np.ndarray
     logdet_p: np.ndarray
     Mc_inv: np.ndarray
     Mp_inv: np.ndarray
+    F_raw: np.ndarray
+    G_raw: np.ndarray
+    L22c: np.ndarray
+    L22p: np.ndarray
+
+    F = property(lambda self: herm(self.F_raw))
+    G = property(lambda self: herm(self.G_raw))
+    Mc_mmse = property(lambda self: herm(self.L22c @ _h(self.L22c)))
+    Mp_mmse = property(lambda self: herm(self.L22p @ _h(self.L22p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +197,17 @@ def expectation_quadratic(variances, X):
     return np.diag(variances.T @ np.diagonal(X))
 
 
+@lru_cache(maxsize=64)
+def _selector_rows(n, N, K, own):
+    """_bundles' Y with only its constant rows E^H filled in (own is a tuple); read-only."""
+    pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
+    Y = np.zeros((2 * n, 2 * N, N * (K + 1)), dtype=complex)
+    Y[:n, N:] = pick[0]
+    Y[n:, N:] = pick[np.asarray(own) + 1]
+    Y.flags.writeable = False
+    return Y
+
+
 def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
     """MMSE bundles of the n channels H (n, M, N), stacked; channel i decodes
     the private stream own[i] of the K in P.
@@ -206,30 +226,25 @@ def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
     # Y = [[R], [E^H]] plus the noise floor on F and G. R holds the columns
     # the stream receives (all of Sfull for F, its private ones for G) and E
     # picks the stream's own columns, so R E = S and E^H E = I exactly.
-    pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
-    Y = np.zeros((2 * n, 2 * N, N * (K + 1)), dtype=complex)
+    Y = _selector_rows(n, N, K, tuple(own)).copy()
     Y[:n, :N] = Sfull
     Y[n:, :N, N:] = Sfull[:, :, N:]
-    Y[:n, N:] = pick[0]
-    Y[n:, N:] = pick[np.asarray(own) + 1]
-    Z = herm(Y @ _h(Y))
+    # not symmetrized: the Cholesky reads the lower triangle and real diagonal,
+    # where numpy's product already equals its Hermitian part
+    Z = Y @ _h(Y)
     s2 = np.asarray(sigma_e2, dtype=float)
     tr_full = float(np.vdot(Pfull, Pfull).real)
     tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
     floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
-    Z[:, :N, :N] += floor[:, None, None] * np.eye(N)
+    np.einsum("kii->ki", Z[:, :N, :N])[...] += floor[:, None]
     L = np.linalg.cholesky(Z)
     Li = np.linalg.inv(L)
     L22, Li22 = L[:, N:, N:], Li[:, N:, N:]
     D = L[:, N:, :N] @ Li[:, :N, :N]
-    # M = L22 L22^H and M^-1 = Li22^H Li22 as one stacked Gram product
-    X = np.concatenate([L22, _h(Li22)])
-    MM = herm(X @ _h(X))
-    Mz, Mi = MM[:2 * n], MM[2 * n:]
+    Mi = herm(_h(Li22) @ Li22)
     ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-    F, G = Z[:n, :N, :N], Z[n:, :N, :N]
-    return MseBundle(F, G, D[:n], D[n:], Mz[:n], Mz[n:], logdet_c=ld[:n], logdet_p=ld[n:],
-                     Mc_inv=Mi[:n], Mp_inv=Mi[n:])
+    return MseBundle(D[:n], D[n:], logdet_c=ld[:n], logdet_p=ld[n:], Mc_inv=Mi[:n], Mp_inv=Mi[n:],
+                     F_raw=Z[:n, :N, :N], G_raw=Z[n:, :N, :N], L22c=L22[:n], L22p=L22[n:])
 
 
 def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
@@ -239,7 +254,7 @@ def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
 
 def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
     """MMSE bundles of every user, stacked over users."""
-    return _bundles(H_hat, sigma_e2, P, sigma_n2, np.arange(len(H_hat)))
+    return _bundles(H_hat, sigma_e2, P, sigma_n2, range(len(H_hat)))
 
 
 def f1_from_bundles(bundles: MseBundle) -> float:

@@ -118,6 +118,13 @@ def initialize(H_hat, rho, sigma_e2_rep):
     return PrecoderSet(Pc=Pc, Pp=Pp, rho=float(rho)), t0
 
 
+def _plus_identity(A, s):
+    """A + s I for a square matrix A, without forming I."""
+    A = A.copy()
+    A.flat[:: len(A) + 1] += s
+    return A
+
+
 def _block_system(H_hat, sigma_e2, D, W):
     """Quadratic and linear terms of one precoder block's subproblem.
 
@@ -130,11 +137,12 @@ def _block_system(H_hat, sigma_e2, D, W):
     """
     H, D, W = np.asarray(H_hat), np.asarray(D), np.asarray(W)
     M = H.shape[1]
-    T = H @ D.conj().swapaxes(1, 2)
+    Dh = D.conj()
+    T = H @ Dh.swapaxes(1, 2)
     TW = T @ W
-    quad = checked_real(np.einsum("kij,kij->k", W @ D, D.conj()))
+    quad = checked_real(np.einsum("kij,kij->k", W @ D, Dh))
     A = herm(side_by_side(TW) @ side_by_side(T).conj().T)
-    A += float(np.dot(sigma_e2, quad)) * np.eye(M)
+    A.flat[:: M + 1] += float(np.dot(sigma_e2, quad))
     return A, TW, float(quad.sum())
 
 
@@ -151,7 +159,7 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     lam1 = sigma_n2 * tr_wdd / (rho * t_star)
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")
-    Pp_bar = cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
+    Pp_bar = cholesky_solve(_plus_identity(B, lam1), V)
     return np.sqrt(rho * t_star) * Pp_bar / np.linalg.norm(Pp_bar), B, V
 
 
@@ -169,7 +177,7 @@ def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
     if lam2 <= 0.0:
         raise ValueError("non-positive common multiplier; filters are degenerate")
-    Pc_bar = cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
+    Pc_bar = cholesky_solve(_plus_identity(A, lam2), U)
     scale = np.linalg.norm(Pc_bar)
     if scale < 1e-12:
         raise CommonCollapse("common precoder direction collapsed")
@@ -264,6 +272,9 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     K = len(H)
     if len(sigma_e2) != K:
         raise ValueError("per-user error variance count does not match user count")
+    for k, s2 in enumerate(sigma_e2):
+        if not 0.0 <= s2 < math.inf:
+            raise ValueError(f"user {k}: error variance must be finite and non-negative, got {s2}")
     if not (0.0 < rho < math.inf and 0.0 < sigma_n2 < math.inf):
         raise ValueError(f"rho and sigma_n2 must be finite and positive, got {rho} and {sigma_n2}")
     if not np.all(np.isfinite(H)):

@@ -176,6 +176,12 @@ def empirical_cdf_sorted(samples, x):
     return float(np.searchsorted(s, x, side="right")) / len(s)
 
 
+def _received_covariances(H, P):
+    """C[k][j] = H_k^H P_j P_j^H H_k, the covariance user k receives from stream j."""
+    K = len(H)
+    return [[H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K)] for k in range(K)]
+
+
 def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
     """Textbook sum-rate WMMSE with exact multiplier search (perfect CSIT).
 
@@ -187,21 +193,22 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
     M, N = H[0].shape
     P = [p.copy() for p in P0]
 
-    def sum_rate(P):
+    def sum_rate(C):
         r = 0.0
         for k in range(K):
-            R = sum(H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K))
-            noise = R - H[k].conj().T @ P[k] @ P[k].conj().T @ H[k] + sigma_n2 * np.eye(N)
-            sig = H[k].conj().T @ P[k] @ P[k].conj().T @ H[k]
+            R = sum(C[k])
+            noise = R - C[k][k] + sigma_n2 * np.eye(N)
+            sig = C[k][k]
             w = scipy.linalg.eigh(sig + noise, noise, eigvals_only=True)
             r += np.sum(np.log2(np.maximum(w, 1.0)))
         return float(r)
 
-    prev = sum_rate(P)
+    C = _received_covariances(H, P)
+    prev = sum_rate(C)
     for _ in range(iters):
         D, W = [], []
         for k in range(K):
-            R = sum(H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K)) + sigma_n2 * np.eye(N)
+            R = sum(C[k]) + sigma_n2 * np.eye(N)
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
             Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
@@ -234,7 +241,8 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
             lam = 0.5 * (lo + hi)
         inv = np.linalg.inv(Bmat + lam * np.eye(M))
         P = [inv @ V for V in Vs]
-        cur = sum_rate(P)
+        C = _received_covariances(H, P)
+        cur = sum_rate(C)
         if abs(cur - prev) < tol * max(1.0, abs(cur)):
             prev = cur
             break
@@ -252,25 +260,20 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
     M, N = H[0].shape
     P = [p.copy() for p in P0]
 
-    def sum_rate(P):
+    def sum_rate(C):
         r = 0.0
         for k in range(K):
-            noise = (
-                sum(H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K) if j != k)
-                + sigma_n2 * np.eye(N)
-            )
-            sig = H[k].conj().T @ P[k] @ P[k].conj().T @ H[k]
+            noise = sum(C[k][j] for j in range(K) if j != k) + sigma_n2 * np.eye(N)
+            sig = C[k][k]
             r += np.linalg.slogdet(np.eye(N) + np.linalg.inv(noise) @ sig)[1] / np.log(2)
         return float(np.real(r))
 
-    prev = sum_rate(P)
+    C = _received_covariances(H, P)
+    prev = sum_rate(C)
     for _ in range(iters):
         D, W = [], []
         for k in range(K):
-            R = (
-                sum(H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K))
-                + sigma_n2 * np.eye(N)
-            )
+            R = sum(C[k]) + sigma_n2 * np.eye(N)
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
             Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
@@ -286,7 +289,8 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
         power = sum(np.real(np.trace(p @ p.conj().T)) for p in Pn)
         scale = np.sqrt(rho / power)
         P = [scale * p for p in Pn]
-        cur = sum_rate(P)
+        C = _received_covariances(H, P)
+        cur = sum_rate(C)
         if abs(cur - prev) < tol * max(1.0, abs(cur)):
             prev = cur
             break
@@ -441,3 +445,93 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
     if not locked and t > 1.0 - 1e-4:
         (Pc, Pp), t = all_private(Pp), 1.0
     return trace, iterations, t, Pc, Pp
+
+
+# Frozen kernels. Unlike the oracles above, these follow the package's own
+# numerical route: they are the MSE-bundle kernel and the closed-form block
+# solves as they stood before their numpy calls were trimmed (eager F, G and
+# MMSE error matrices, a symmetrized Gram matrix, diagonal shifts through
+# np.eye). The trimmed kernels must reproduce them bit for bit.
+
+
+def _h(A):
+    return A.conj().swapaxes(-1, -2)
+
+
+def _herm(A):
+    return 0.5 * (A + _h(A))
+
+
+def _side_by_side(X):
+    K, M, N = X.shape
+    return X.transpose(1, 0, 2).reshape(M, K * N)
+
+
+def _cholesky_solve(A, B):
+    Li = np.linalg.inv(np.linalg.cholesky(A))
+    return _h(Li) @ (Li @ B)
+
+
+def frozen_bundles(H, sigma_e2, Pc, Pp, sigma_n2, own):
+    """The stacked MMSE bundles of the n channels H (n, M, N), channel i
+    decoding private stream own[i]; a dict keyed like the bundle fields."""
+    Pp = np.asarray(Pp)
+    Hh = _h(np.asarray(H))
+    n, N, _ = Hh.shape
+    K = len(Pp)
+    Pfull = np.concatenate([Pc, _side_by_side(Pp)], axis=1)
+    Sfull = Hh @ Pfull
+    pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
+    Y = np.zeros((2 * n, 2 * N, N * (K + 1)), dtype=complex)
+    Y[:n, :N] = Sfull
+    Y[n:, :N, N:] = Sfull[:, :, N:]
+    Y[:n, N:] = pick[0]
+    Y[n:, N:] = pick[np.asarray(own) + 1]
+    Z = _herm(Y @ _h(Y))
+    s2 = np.asarray(sigma_e2, dtype=float)
+    tr_full = float(np.vdot(Pfull, Pfull).real)
+    tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
+    floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
+    Z[:, :N, :N] += floor[:, None, None] * np.eye(N)
+    L = np.linalg.cholesky(Z)
+    Li = np.linalg.inv(L)
+    L22, Li22 = L[:, N:, N:], Li[:, N:, N:]
+    D = L[:, N:, :N] @ Li[:, :N, :N]
+    X = np.concatenate([L22, _h(Li22)])
+    MM = _herm(X @ _h(X))
+    Mz, Mi = MM[:2 * n], MM[2 * n:]
+    ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
+    return {"F": Z[:n, :N, :N], "G": Z[n:, :N, :N], "Dc": D[:n], "Dp": D[n:],
+            "Mc_mmse": Mz[:n], "Mp_mmse": Mz[n:], "logdet_c": ld[:n], "logdet_p": ld[n:],
+            "Mc_inv": Mi[:n], "Mp_inv": Mi[n:]}
+
+
+def frozen_block_system(H_hat, sigma_e2, D, W):
+    """(A, per-user linear terms, sum_k tr(W_k D_k D_k^H)) of one precoder block."""
+    H, D, W = np.asarray(H_hat), np.asarray(D), np.asarray(W)
+    M = H.shape[1]
+    T = H @ D.conj().swapaxes(1, 2)
+    TW = T @ W
+    quad = np.einsum("kij,kij->k", W @ D, D.conj()).real
+    A = _herm(_side_by_side(TW) @ _side_by_side(T).conj().T)
+    A += float(np.dot(sigma_e2, quad)) * np.eye(M)
+    return A, TW, float(quad.sum())
+
+
+def frozen_solve_p1(H_hat, sigma_e2, Dp, Wp, rho, t_star, sigma_n2):
+    """(Pp_cat, B, V) of the closed-form private block."""
+    B, TW, tr_wdd = frozen_block_system(H_hat, sigma_e2, Dp, Wp)
+    V = _side_by_side(TW)
+    lam1 = sigma_n2 * tr_wdd / (rho * t_star)
+    Pp_bar = _cholesky_solve(B + lam1 * np.eye(B.shape[0]), V)
+    return np.sqrt(rho * t_star) * Pp_bar / np.linalg.norm(Pp_bar), B, V
+
+
+def frozen_solve_p2(H_hat, sigma_e2, Dc, Wc, Pp_cat, rho, t_star, sigma_n2):
+    """(Pc, A, U) of the closed-form common block."""
+    A, TW, tr_wdd = frozen_block_system(H_hat, sigma_e2, Dc, Wc)
+    U = TW.sum(axis=0)
+    cross = float(np.vdot(Pp_cat, A @ Pp_cat).real)
+    lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
+    Pc_bar = _cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
+    return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / np.linalg.norm(Pc_bar), A, U

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,26 @@ def test_one_draw_is_clean(workload):
     assert out.failed == 0
     assert set(out.states) == set(workloads.SOLVED)
     assert set(out.sum_rate) == set(workloads.SCHEMES)
+
+
+def test_replay_iterates_bundles_and_weights_per_user():
+    # the replay builds its P1 and P2 arguments as [b.Dp for b in bundles] and
+    # [w.Wp for w in weights(bundles)] and swallows an AttributeError there,
+    # which would leave the solve metrics unmeasured
+    ctx = workloads.prepare(ROOT, "headline", seed=1)
+    solver = ctx.mods.solver
+    chans = ctx.mods.channels.sample_estimation_channel(8, 2, 4, [0.1] * 4, np.random.default_rng(1))
+    P, t = solver.initialize(chans.H_hat, ctx.rho, 0.1)
+    bundles = solver.all_bundles(chans.H_hat, chans.sigma_e2, P, 1.0)
+    w = solver.weights(bundles)
+    per_user = [(b.Dp, b.Dc, wk.Wp, wk.Wc) for b, wk in zip(bundles, w)]
+    assert len(per_user) == 4
+    for k, fields in enumerate(per_user):
+        for got, stacked in zip(fields, (bundles.Dp, bundles.Dc, w.Wp, w.Wc)):
+            assert np.array_equal(got, stacked[k])
+    Dp, Dc, Wp, Wc = map(list, zip(*per_user))
+    Pp_cat, _, _ = solver.solve_p1(chans.H_hat, chans.sigma_e2, Dp, Wp, ctx.rho, t, 1.0)
+    solver.solve_p2(chans.H_hat, chans.sigma_e2, Dc, Wc, Pp_cat, ctx.rho, t, 1.0)
 
 
 def test_setup_probe_prints_positive_seconds():

@@ -356,3 +356,18 @@ def test_rank_deficient_draw_below_the_guard_stops_the_run_naming_it(monkeypatch
     _plant_rank_deficiency(monkeypatch, 1e-13)
     with pytest.raises(ValueError, match=message):
         run_experiment(small_config(**RANK_GRID, csit=csit, bits=4, sigma_e2_grid=(0.1,)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("csit, item", [
+    ("estimation", "sigma_e2=0.1, snr_db=0.0, draw=1, scheme=proposed: user 0: "),
+    ("quantized", "quantized 4 bits, snr_db=0.0, draw=1: user 0: "),
+], ids=["estimation", "quantized"])
+def test_a_draw_below_the_guard_is_named_by_its_grid_point(monkeypatch, csit, item, workers):
+    # the first planted item in grid order stops the run, from a pool worker too
+    # (which inherits the planted draw_channels by forking)
+    _plant_rank_deficiency(monkeypatch, 1e-13)
+    cfg = small_config(**RANK_GRID, csit=csit, bits=4, sigma_e2_grid=(0.1,), workers=workers)
+    with pytest.raises(ValueError) as info:
+        run_experiment(cfg)
+    assert str(info.value).startswith(item)

@@ -14,6 +14,7 @@ from rsmimo.solver import SolverConfig, run
 from oracles import (
     dense_mse_blocks,
     fd_gradient,
+    frozen_bundles,
     naive_f1,
     quadratic_expectation_mc,
     rates_via_generalized_eig,
@@ -246,6 +247,25 @@ def test_fused_bundles_match_dense_oracle(M, N, K, snr_db, s2, near_rank_deficie
                     assert np.max(np.abs(getattr(b, f"M{t}_mmse")[k] - ref[f"M{t}_mmse"])) < 1e-11
                     assert abs(getattr(b, f"logdet_{t}")[k] - ref[f"logdet_{t}"]) < 1e-9
                     assert rel(getattr(b, f"M{t}_inv")[k], ref[f"M{t}_inv"]) < 1e-9
+
+
+@pytest.mark.parametrize("M,N,K", [(8, 2, 4), (4, 2, 4), (2, 1, 6), (16, 4, 8), (6, 3, 2)])
+def test_bundles_match_frozen_kernel(M, N, K):
+    # the trimmed kernel (cached selector rows, no symmetrization of the Gram
+    # matrix, in-place noise floor, derived F, G and MMSE matrices) is bit-equal
+    # to the eager one on every field, stacked and per user
+    for snr_db in range(0, 71, 10):
+        rho = 10.0 ** (snr_db / 10.0)
+        for s2 in (0.0, 0.1, 0.99):
+            rng = make_rng(snr_db + int(100 * s2))
+            H_hat, sig = random_instance(rng, M, N, K, s2)
+            for P in (random_precoders(rng, M, N, K, rho=rho), random_precoders(rng, M, N, K, rho=rho, t=1.0)):
+                ref = frozen_bundles(H_hat, sig, P.Pc, P.Pp, 1.0, range(K))
+                b = all_bundles(H_hat, sig, P, 1.0)
+                assert all(np.array_equal(getattr(b, name), ref[name]) for name in ref)
+                for k in range(K):
+                    bk = mse_bundle(H_hat[k], sig[k], P, 1.0, k)
+                    assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in ref)
 
 
 def test_bundles_raise_on_non_definite_covariance():

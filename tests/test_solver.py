@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_instance
-from oracles import fd_gradient, grid_scan_root, per_user_solver
+from conftest import make_rng, random_instance, random_precoders
+from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, grid_scan_root, per_user_solver
 from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
 from rsmimo.rates import (
     PrecoderSet,
@@ -420,6 +420,16 @@ def test_run_validates_inputs(monkeypatch):
         run(bad, s2, 50.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, -3.0])
+def test_run_rejects_an_invalid_error_variance_naming_the_user(value):
+    # NaN used to run to max_iters with a NaN trace, a negative value to
+    # raise a bare LinAlgError from the first bundles
+    rng = make_rng(38)
+    H_hat, _ = random_instance(rng, 8, 2, 4, 0.1)
+    with pytest.raises(ValueError, match=f"user 3: error variance must be finite and non-negative, got {value}"):
+        run(H_hat, [0.1, 0.1, 0.1, value], 100.0, 1.0)
+
+
 def test_run_wraps_in_sweep_failures_with_iteration_context(monkeypatch):
     rng = make_rng(37)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
@@ -654,3 +664,24 @@ def test_run_invariants_in_extreme_regimes(scheme, instance):
     outputs = [state.P.full().ravel(), state.objective_trace, [state.t], Rc, Rp, [total]]
     assert all(np.all(np.isfinite(x)) for x in outputs)
     assert min(Rc + Rp) >= 0.0
+
+
+@pytest.mark.parametrize("M,N,K", [(8, 2, 4), (4, 2, 4), (2, 1, 6), (16, 4, 8), (6, 3, 2)])
+def test_block_solves_match_frozen_kernels(M, N, K):
+    # the closed-form P1 and P2 with their diagonal shifts made in place are
+    # bit-equal to the np.eye forms, on the arrays run passes and on the
+    # per-user lists the benchmark's replay passes
+    for snr_db in range(0, 71, 10):
+        rho = 10.0 ** (snr_db / 10.0)
+        for s2 in (0.0, 0.1, 0.99):
+            rng = make_rng(snr_db + int(100 * s2))
+            H_hat, sig = random_instance(rng, M, N, K, s2)
+            b = all_bundles(H_hat, sig, random_precoders(rng, M, N, K, rho=rho), 1.0)
+            w = weights(b)
+            for Dp, Wp in ((b.Dp, w.Wp), (list(b.Dp), list(w.Wp))):
+                out = solve_p1(H_hat, sig, Dp, Wp, rho, 0.5, 1.0)
+                ref = frozen_solve_p1(H_hat, sig, Dp, Wp, rho, 0.5, 1.0)
+                assert all(np.array_equal(x, y) for x, y in zip(out, ref))
+                out = solve_p2(H_hat, sig, b.Dc, w.Wc, out[0], rho, 0.5, 1.0)
+                ref = frozen_solve_p2(H_hat, sig, b.Dc, w.Wc, ref[0], rho, 0.5, 1.0)
+                assert all(np.array_equal(x, y) for x, y in zip(out, ref))
