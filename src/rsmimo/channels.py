@@ -41,7 +41,8 @@ class Codebook:
     bits: int
 
     def __post_init__(self):
-        C = np.array(self.entries, dtype=complex)
+        # C order, so that quantize_channel's (count, M*N) reshape is a view
+        C = np.array(self.entries, dtype=complex, order="C")
         if not (C.ndim == 3 and len(C) and C.shape[1] > C.shape[2] >= 1):
             raise ValueError(f"codebook entries must be a non-empty stack of M x N codewords "
                              f"with M > N >= 1, got shape {C.shape}")
@@ -126,18 +127,36 @@ def chordal_distance(Htilde, C):
 
 
 def random_codebook(M, N, bits, rng) -> Codebook:
-    """Random codebook of 2**bits semi-unitary matrices from thin-QR of Gaussians."""
+    """Random codebook of 2**bits semi-unitary matrices: Gram-Schmidt of Gaussians.
+
+    Codeword s is the Q factor, with positive real R diagonal, of the s-th
+    complex_gaussian(rng, (M, N)) draw, so it is Haar distributed and the
+    random stream is that of one draw per codeword. Q comes from two-pass
+    classical Gram-Schmidt (CGS2) run over the whole stack at once, one column
+    at a time. A column numerically in the span of the ones before it is set
+    to zero, so the semi-unitary check names its codeword.
+    """
     _check_dims(M, N)
     if not (1 <= bits <= MAX_CODEBOOK_BITS):
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
-    # the random stream of one complex_gaussian(rng, (M, N)) per codeword:
-    # real parts, then imaginary parts
+    # the stream of one complex_gaussian(rng, (M, N)) per codeword: real parts,
+    # then imaginary parts. V[j, :, s] is column j of codeword s, so every step
+    # below runs over the whole stack; Gram-Schmidt is scale-free, so the
+    # draw's 1/sqrt(2) is skipped.
     z = rng.standard_normal((2**bits, 2, M, N))
-    A = np.empty((2**bits, M, N), dtype=complex)
-    A.real, A.imag = z[:, 0], z[:, 1]
-    A *= np.sqrt(0.5)
-    Q, _ = np.linalg.qr(A)
-    return Codebook(entries=Q, bits=bits)
+    V = np.ascontiguousarray(z.transpose(3, 2, 0, 1)).view(complex)[..., 0]
+    for j in range(N):
+        v = V[j]
+        r = norm = np.sqrt((v.real**2 + v.imag**2).sum(0))
+        for _ in range(2 if j else 0):
+            vc = v.conj()
+            c = [(vc * q).sum(0).conj() for q in V[:j]]
+            for ci, q in zip(c, V[:j]):
+                v -= ci * q
+        if j:
+            r = np.sqrt((v.real**2 + v.imag**2).sum(0))
+        v *= np.divide(1.0, r, out=np.zeros_like(r), where=r > 1e-12 * norm)
+    return Codebook(entries=V.T, bits=bits)
 
 
 def dominant_subspace(H):
@@ -242,6 +261,8 @@ def load_codebook(path) -> tuple[Codebook, int]:
         if size != expected:
             raise ValueError(f"{path}: codebook payload is {size} bytes, expected {expected}")
         arr = np.frombuffer(fh.read(), dtype=np.complex64).reshape(2**bits, M, N)
-    # float32 rounding breaks exact semi-unitarity; snap to the polar factor
+    # float32 rounding (|X^H X - I| up to about 1e-7) breaks exact semi-unitarity;
+    # a payload further off is corrupt. Snap the rest to the polar factor.
+    _check_semi_unitary(arr, f"{path}: codeword", tol=1e-5)
     u, _, vh = np.linalg.svd(arr.astype(complex), full_matrices=False)
     return Codebook(entries=u @ vh, bits=bits), seed

@@ -10,11 +10,22 @@ functions are the oracles the tests compare against.
 import numpy as np
 import scipy.linalg
 
+from rsmimo.channels import complex_gaussian
+
 
 def chordal_distance_svd(X, C):
     """Chordal distance via singular values of X^H C."""
     s = np.linalg.svd(X.conj().T @ C, compute_uv=False)
     return X.shape[1] - float(np.sum(s**2))
+
+
+def lapack_codebook(M, N, bits, rng):
+    """Reference codewords: LAPACK's thin QR of one complex_gaussian(rng, (M, N))
+    draw per codeword, each Q column times the sign of R's real diagonal, so
+    that every R has a positive diagonal. Returns the (2**bits, M, N) stack."""
+    A = np.stack([complex_gaussian(rng, (M, N)) for _ in range(2**bits)])
+    Q, R = np.linalg.qr(A)
+    return Q * np.sign(R.diagonal(axis1=1, axis2=2).real)[:, None, :]
 
 
 def brute_force_quantize(H, entries):

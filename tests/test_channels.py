@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rsmimo.channels import (
     sample_quantized_csit,
     save_codebook,
 )
-from oracles import brute_force_quantize, chordal_distance_svd, stacked_quantize
+from oracles import brute_force_quantize, chordal_distance_svd, lapack_codebook, stacked_quantize
 
 
 def test_estimation_channel_decomposition_exact():
@@ -116,12 +117,97 @@ def test_random_codebook_entries_semi_unitary():
 
 
 def test_random_codebook_matches_per_codeword_qr_loop():
-    # one batched draw and QR consume the stream exactly as one QR per codeword
+    # one batched draw consumes the stream exactly as one complex_gaussian per
+    # codeword, and each codeword is its draw's Q factor with positive R
+    # diagonal. Gram-Schmidt rounds differently from LAPACK, so the bound is
+    # set from float64 eps (measured <= 1.5e-15); a wrong stream order gives
+    # O(1) differences.
     book = random_codebook(6, 2, 5, np.random.default_rng(13))
-    rng = np.random.default_rng(13)
-    for C in book.entries:
-        Q, _ = np.linalg.qr(complex_gaussian(rng, (6, 2)))
-        np.testing.assert_array_equal(C, Q)
+    ref = lapack_codebook(6, 2, 5, np.random.default_rng(13))
+    np.testing.assert_allclose(book.entries, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bits", [1, 4, 6, 10])
+@pytest.mark.parametrize("M,N", [(8, 2), (4, 2), (6, 3), (16, 4), (3, 1)])
+def test_quantized_estimates_match_lapack_codebooks_up_to_column_signs(M, N, bits):
+    # chordal distances do not see a column's sign, so the Gram-Schmidt
+    # codebooks pick what LAPACK's would, and the estimates differ from
+    # theirs by column signs and rounding only
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        books = [random_codebook(M, N, bits, rng) for _ in range(2)]
+        refs = [Codebook(entries=lapack_codebook(M, N, bits, ref_rng), bits=bits) for _ in range(2)]
+        H = [complex_gaussian(rng, (M, N)) for _ in range(2)]
+        for Hk, book, ref in zip(H, books, refs):
+            i, _, d = quantize_channel(Hk, book)
+            i_ref, _, d_ref = quantize_channel(Hk, ref)
+            assert i == i_ref and abs(d - d_ref) < 1e-12
+        cs, gamma = quantized_csit_from_channels(H, books)
+        cs_ref, gamma_ref = quantized_csit_from_channels(H, refs)
+        assert abs(gamma - gamma_ref) < 1e-12
+        for X, X_ref in zip(cs.H_hat, cs_ref.H_hat):
+            signs = np.sign(np.sum(X.conj() * X_ref, axis=0).real)
+            assert np.all(np.abs(signs) == 1)
+            np.testing.assert_allclose(X, X_ref * signs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("M,N,bits", [(2, 1, 14), (4, 3, 14), (16, 1, 1), (16, 15, 1), (16, 15, 8), (16, 4, 12)])
+def test_random_codebook_is_a_qr_factor_in_extreme_regimes(M, N, bits):
+    book = random_codebook(M, N, bits, np.random.default_rng(bits))
+    rng = np.random.default_rng(bits)
+    A = np.stack([complex_gaussian(rng, (M, N)) for _ in range(2**bits)])
+    Q = book.entries
+    R = Q.conj().swapaxes(1, 2) @ A
+    assert np.max(np.abs(np.tril(R, -1))) < 1e-12
+    diag = R.diagonal(axis1=1, axis2=2)
+    assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) < 1e-12
+    gram = Q.conj().swapaxes(1, 2) @ Q
+    assert np.max(np.abs(gram - np.eye(N))) < 1e-12
+
+
+class _PlantedStream:
+    """Stands in for a Generator whose standard_normal returns the planted draws."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+def test_random_codebook_stays_orthonormal_on_nearly_dependent_draws():
+    # condition numbers near 1e7: one Gram-Schmidt pass would lose orthogonality
+    # as cond^2 * eps, the second pass restores it to rounding
+    z = np.random.default_rng(20).standard_normal((16, 2, 6, 3))
+    z[..., 2] = z[..., 0] - z[..., 1] + 1e-7 * z[..., 2]
+    Q = random_codebook(6, 3, 4, _PlantedStream(z)).entries
+    gram = Q.conj().swapaxes(1, 2) @ Q
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("plant", ["zero-first", "zero-last", "repeated", "complex-multiple"])
+def test_random_codebook_names_a_rank_deficient_draw(plant):
+    # a column in the span of the ones before it has no direction of its own:
+    # it must be rejected by the semi-unitary check, naming the codeword,
+    # never normalized into NaN or noise
+    z = np.random.default_rng(17).standard_normal((8, 2, 6, 3))
+    if plant == "zero-first":
+        z[5, :, :, 0] = 0.0
+    elif plant == "zero-last":
+        z[5, :, :, 2] = 0.0
+    elif plant == "repeated":
+        z[5, :, :, 2] = z[5, :, :, 0]
+    else:  # column 2 = 1j * (column 0 + column 1), an exact linear combination
+        z[5, 0, :, 2] = -(z[5, 1, :, 0] + z[5, 1, :, 1])
+        z[5, 1, :, 2] = z[5, 0, :, 0] + z[5, 0, :, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="codeword 5 is not semi-unitary"):
+            random_codebook(6, 3, 3, _PlantedStream(z))
+    # the same draws without the plant build a codebook
+    z[5] = np.random.default_rng(18).standard_normal((2, 6, 3))
+    assert len(random_codebook(6, 3, 3, _PlantedStream(z)).entries) == 8
 
 
 @pytest.mark.parametrize("bits", [0, 15])
@@ -306,6 +392,36 @@ def _codebook_blob(M=4, N=2, bits=3, seed=5, payload=None):
     if payload is None:
         payload = np.zeros((2**bits, M, N), dtype=np.complex64).tobytes()
     return CODEBOOK_MAGIC + CODEBOOK_HEADER.pack(M, N, bits, seed) + payload
+
+
+@pytest.mark.parametrize("M,N,bits", [(8, 2, 10), (16, 4, 8), (16, 15, 6), (4, 1, 14)])
+def test_codebook_float32_rounding_stays_well_inside_the_load_tolerance(tmp_path, M, N, bits):
+    book = random_codebook(M, N, bits, np.random.default_rng(bits))
+    stored = book.entries.astype(np.complex64).astype(complex)
+    gram = stored.conj().swapaxes(1, 2) @ stored
+    assert np.max(np.abs(gram - np.eye(N))) < 1e-6  # the load check allows 1e-5
+    path = tmp_path / "cb.bin"
+    save_codebook(path, book, seed=bits)
+    loaded, _ = load_codebook(path)
+    assert np.max(np.abs(loaded.entries - book.entries)) < 1e-6
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "zero", "scaled"])
+def test_load_codebook_rejects_a_corrupt_codeword(tmp_path, corrupt):
+    # the polar snap repairs float32 rounding only; it used to raise a bare
+    # LinAlgError on a NaN, and silently replace a zero or rescaled codeword
+    C = random_codebook(4, 2, 3, np.random.default_rng(19)).entries.astype(np.complex64)
+    if corrupt == "nan":
+        C[6, 1, 0] = np.nan
+    elif corrupt == "zero":
+        C[6] = 0.0
+    else:
+        C[6] *= 100.0
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(_codebook_blob(payload=C.tobytes()))
+    with pytest.raises(ValueError, match="codeword 6 is not semi-unitary") as info:
+        load_codebook(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_codebook_rejects_truncated_header(tmp_path):
