@@ -230,14 +230,16 @@ def sample_quantized_csit(M, N, K, bits, rng) -> tuple[ChannelSet, float]:
 
 
 def save_codebook(path, codebook: Codebook, seed):
-    """Persist a codebook as magic, M, N, bits, seed, then complex64 entries."""
+    """Persist magic, M, N, bits, seed, then complex64 entries; a bad seed raises before opening."""
     count, M, N = codebook.entries.shape
     if count != 2**codebook.bits:
         raise ValueError(f"codebook has {count} entries, not 2**bits = {2**codebook.bits}")
+    try:
+        header = CODEBOOK_HEADER.pack(M, N, codebook.bits, seed)
+    except struct.error as exc:
+        raise ValueError(f"{path}: codebook seed must be an integer in [0, 2**64), got {seed!r}") from exc
     with open(path, "wb") as fh:
-        fh.write(CODEBOOK_MAGIC)
-        fh.write(CODEBOOK_HEADER.pack(M, N, codebook.bits, seed))
-        fh.write(codebook.entries.astype(np.complex64).tobytes(order="C"))
+        fh.write(CODEBOOK_MAGIC + header + codebook.entries.astype(np.complex64).tobytes(order="C"))
 
 
 def load_codebook(path) -> tuple[Codebook, int]:

@@ -65,9 +65,11 @@ class ExperimentConfig:
             raise ValueError("SNR and sigma_e2 grids must hold finite values")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme '{s}'; choose from {SCHEMES}")
+            if s in self.schemes[:i]:
+                raise ValueError(f"scheme '{s}' is named more than once")
         if self.csit not in ("estimation", "quantized"):
             raise ValueError(f"csit mode must be 'estimation' or 'quantized', got '{self.csit}'")
         if self.csit == "quantized" and self.bits < 1:
@@ -175,21 +177,17 @@ def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     scheme = None
     try:
         chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
-        twins = ()
-        if {"proposed", "rwmmse"} <= set(cfg.schemes) and initial_split(rho, max(chans.sigma_e2)) >= 1.0:
-            twins = ("proposed", "rwmmse")
-        records, failures, shared = [], [], None
+        all_private = initial_split(rho, max(chans.sigma_e2)) >= 1.0
+        made, records, failures = {}, [], []
         for scheme in cfg.schemes:
-            if scheme in twins and shared is not None:
-                if isinstance(shared, DrawRecord):
-                    outcome = replace(shared, scheme=scheme)
-                else:
-                    outcome = {**shared, "scheme": scheme}
+            design = "rwmmse" if scheme == "proposed" and all_private else scheme
+            if design not in made:
+                made[design] = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
+            outcome = made[design]
+            if isinstance(outcome, DrawRecord):
+                records.append(replace(outcome, scheme=scheme))
             else:
-                outcome = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
-                if scheme in twins:
-                    shared = outcome
-            (records if isinstance(outcome, DrawRecord) else failures).append(outcome)
+                failures.append({**outcome, "scheme": scheme})
     except ValueError as exc:
         quantized = f"quantized {cfg.bits} bits"
         grid = f"sigma_e2={cfg.sigma_e2_grid[sigma_idx]}" if cfg.csit == "estimation" else quantized

@@ -52,9 +52,10 @@ class SolverState:
 
     `termination` is 'tol' (a sweep improved by less than obj_tol), 'overshoot'
     (a sweep, possibly a stabilizing one, would have raised the objective and
-    was discarded) or 'max_iters'. `extrapolations` counts the sweeps started
-    from an extrapolated point and `extrapolations_accepted` those that were
-    kept. States compare and hash by identity.
+    was discarded) or 'max_iters'. `extrapolations` counts the sweeps actually
+    started from an extrapolated point, `extrapolations_accepted` those kept.
+    `boundary_hits` includes the P3 flag of a discarded final sweep. States
+    compare and hash by identity.
     """
 
     P: PrecoderSet
@@ -254,7 +255,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     (`_extrapolate`) and makes one stabilizing sweep from the extrapolated
     point. A cycle skips the extrapolation when the all-private lock changed
     during it or the extrapolated split leaves the clamp interval. step_max
-    starts at 1 and grows by 4 each time a capped step is kept.
+    starts at 1 and is multiplied by 4 each time a capped step is kept.
 
     Every sweep, the stabilizing one included, is measured against the last
     accepted objective (f(P2) for the stabilizing sweep), so the trace holds
@@ -286,43 +287,43 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     _check_power(P, rho, "initialization")
     boundary_hits = []
 
-    def sweep(it, P, t, bundles, locked):
-        """One pass of the block updates from P; returns (P, t, locked, bundles) after it."""
-        if bundles is None:
-            bundles = all_bundles(H, sigma_e2, P, sigma_n2)
-        Pp_cat, B, V = solve_p1(H, sigma_e2, bundles.Dp, weights(bundles).Wp, rho, t, sigma_n2)
-        Pc, t_new, flag = np.zeros_like(P.Pc), 1.0, ""
+    def sweep(it, x):
+        """A pass from the accepted iterate or the extrapolated x = (P, t); returns (P, t, locked, bundles, f)."""
+        P_s, t_s = x or (P, t)
+        start = all_bundles(H, sigma_e2, P_s, sigma_n2) if x else bundles
+        Pp_cat, B, V = solve_p1(H, sigma_e2, start.Dp, weights(start).Wp, rho, t_s, sigma_n2)
+        Pc, t_new, flag = np.zeros_like(P_s.Pc), 1.0, ""
         if not locked:
-            P_mid = PrecoderSet(Pc=P.Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+            P_mid = PrecoderSet(Pc=P_s.Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
             mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
             try:
-                Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t, sigma_n2)
+                Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t_s, sigma_n2)
             except CommonCollapse:
-                # continue as an all-private design
-                locked, flag = True, "sdma"
+                flag = "sdma"  # continue as an all-private design, locked from here on
             else:
                 Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
                 t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho, cfg)
                 Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
             if flag:
                 boundary_hits.append((it, flag))
-        P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P.rho)
+        P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
         if flag == "sdma":
             P_new = _all_private(P_new)
         _check_power(P_new, rho, f"iteration {it}")
-        return P_new, t_new, locked, all_bundles(H, sigma_e2, P_new, sigma_n2)
+        bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
+        return P_new, t_new, locked or flag == "sdma", bundles_new, f1_from_bundles(bundles_new)
 
     bundles = all_bundles(H, sigma_e2, P, sigma_n2)
     f_cur = f1_from_bundles(bundles)
     trace = [f_cur]
-    cycle, cycle_locked = [P], locked  # accepted iterates of the cycle so far, P0 first
-    start, alpha = (P, t, bundles), None  # alpha is set while the stabilizing sweep runs
+    cycle = [(P, locked)]  # the cycle's accepted iterates and their locks, P0 first
+    x = None  # the next sweep's extrapolated start (P, t), if any
     step_max, tried, kept = 1.0, 0, 0
     termination = "max_iters"
     for it in range(cfg.max_iters):
+        tried += x is not None
         try:
-            P_new, t_new, locked_new, bundles_new = sweep(it, *start, locked)
-            f_new = f1_from_bundles(bundles_new)
+            P_new, t_new, locked_new, bundles_new, f_new = sweep(it, x)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
 
@@ -330,26 +331,23 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         if f_new <= f_cur:  # a sweep that overshot is discarded, and then converged holds
             P, t, locked, bundles, f_cur = P_new, t_new, locked_new, bundles_new, f_new
             trace.append(f_new)
-            kept += start[2] is None  # it started from an extrapolated point
-            if alpha == -step_max:
-                step_max *= 4.0
+            kept += x is not None
         if converged:
             termination = "tol" if f_new <= f_cur else "overshoot"
             break
 
-        if alpha is None:
-            cycle.append(P)
-        else:
-            cycle, cycle_locked = [P], locked
-        start, alpha = (P, t, bundles), None
+        cycle.append((P, locked))
+        x = None
         if len(cycle) == 3:
-            step = None if locked != cycle_locked else _extrapolate(*cycle, step_max, locked, cfg.t_clamp)
+            (P0, lock0), (P1, _), _ = cycle
+            step = None if locked != lock0 else _extrapolate(P0, P1, P, step_max, locked, cfg.t_clamp)
             if step is None:
-                cycle, cycle_locked = [P], locked
-            else:
-                alpha, P_x, t_x = step
-                if P_x is not None:  # its bundles are computed inside the next sweep
-                    start, tried = (P_x, t_x, None), tried + 1
+                del cycle[:2]  # P2 starts the next cycle
+            else:  # the stabilizing sweep's iterate starts the next cycle
+                cycle, (alpha, P_x, t_x) = [], step
+                if alpha == -step_max:  # grown now, as if kept: a step that is not kept ends the run
+                    step_max *= 4.0
+                x = None if P_x is None else (P_x, t_x)
 
     if not locked and t > 1.0 - 1e-4:
         # nearly all-private solution: drop the residual common component
@@ -357,12 +355,6 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         _check_power(P, rho, "final rebalance")
 
     return SolverState(
-        P=P,
-        t=float(t),
-        objective_trace=trace,
-        iterations=it + 1,
-        termination=termination,
-        boundary_hits=tuple(boundary_hits),
-        extrapolations=tried,
-        extrapolations_accepted=kept,
+        P=P, t=float(t), objective_trace=trace, iterations=it + 1, termination=termination,
+        boundary_hits=tuple(boundary_hits), extrapolations=tried, extrapolations_accepted=kept,
     )

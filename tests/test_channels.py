@@ -529,3 +529,17 @@ def test_save_codebook_rejects_a_count_that_is_not_two_to_the_bits(tmp_path):
     C = random_codebook(6, 2, 2, np.random.default_rng(17)).entries
     with pytest.raises(ValueError, match="3 entries, not 2\\*\\*bits = 4"):
         save_codebook(tmp_path / "cb.bin", Codebook(entries=C[:3], bits=2), seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_save_codebook_rejects_a_bad_seed_leaving_the_file_intact(tmp_path, seed):
+    # the header used to be packed after the file was truncated, so a bad
+    # seed raised struct.error and left only the magic bytes behind
+    book = random_codebook(6, 2, 2, np.random.default_rng(18))
+    path = tmp_path / "cb.bin"
+    save_codebook(path, book, seed=7)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=rf"cb\.bin: codebook seed .* got {seed!r}"):
+        save_codebook(path, random_codebook(6, 2, 3, np.random.default_rng(19)), seed=seed)
+    assert path.read_bytes() == before
+    assert load_codebook(path)[1] == 7

@@ -215,6 +215,7 @@ def test_quantized_mode_records_effective_variance():
         dict(csit="genie"),
         dict(csit="quantized", bits=0),
         dict(workers=0),
+        dict(schemes=("proposed", "mrt", "proposed")),  # a scheme named twice
     ],
 )
 def test_config_validation(overrides):

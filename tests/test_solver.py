@@ -483,6 +483,13 @@ def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
     state = run(H_hat, s2, 100.0, 1.0, force_sdma=True)
     assert state.extrapolations > 0
     assert len(calls) == 1 + state.iterations + state.extrapolations
+    # a run stopped at the cap counts only the extrapolated points it swept from
+    H_hat, s2 = random_instance(make_rng(47), 8, 2, 4, 0.1)
+    for cap in range(5, 13):
+        calls.clear()
+        state = run(H_hat, s2, 1e4, 1.0, SolverConfig(max_iters=cap))
+        assert state.termination == "max_iters" and not any(flag == "sdma" for _, flag in state.boundary_hits)
+        assert len(calls) == 1 + 2 * state.iterations + state.extrapolations, cap
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42])
@@ -526,6 +533,9 @@ def test_run_termination_max_iters():
     state = run(H_hat, s2, 1e4, 1.0, SolverConfig(max_iters=5))
     assert state.termination == "max_iters" and not state.converged
     assert state.iterations == 5
+    # the first cycle's step is P2 itself, so no sweep started from an
+    # extrapolated point; the one planned after sweep 5 never ran
+    assert state.extrapolations == 0
 
 
 def test_run_keeps_p2_when_the_stabilized_point_rises(monkeypatch):
