@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -55,6 +56,11 @@ class ExperimentConfig:
     timing: bool = True
 
     def __post_init__(self):
+        for name in ("M", "N", "K", "draws", "seed", "bits", "workers"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         for name in ("snr_db_grid", "sigma_e2_grid"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.draws < 1:
@@ -63,6 +69,10 @@ class ExperimentConfig:
             raise ValueError("SNR and sigma_e2 grids must be non-empty")
         if not all(math.isfinite(v) for v in (*self.snr_db_grid, *self.sigma_e2_grid)):
             raise ValueError("SNR and sigma_e2 grids must hold finite values")
+        for snr_db in self.snr_db_grid:
+            with np.errstate(over="ignore"):  # numpy's power gives inf where Python's raises
+                if not 0.0 < np.float64(10.0) ** (snr_db / 10.0) < math.inf:
+                    raise ValueError(f"SNR {snr_db:g} dB puts the transmit power 10^(snr_db/10) out of float range")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for i, s in enumerate(self.schemes):
@@ -210,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         outputs = [_run_draw(*args) for args in items]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool run
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
             futures = [pool.submit(_run_draw, *args) for args in items]
             outputs = [f.result() for f in futures]
     records, failures = [], []

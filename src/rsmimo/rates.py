@@ -18,8 +18,7 @@ With Lam = L^-1, whose diagonal blocks are L11^-1 and L22^-1, the MMSE filter
 is D = S^H F^-1 = L21 Lam11, log det M = 2 sum log diag L22, and
 M^-1 = Lam22^H Lam22. Z is positive definite exactly when F and M are, so a
 non-definite system still raises LinAlgError. A bundle stores D, the log-dets
-and M^-1, which the solver reads, with F as formed and L22; F and M are
-derived from those only when read.
+and M^-1, which the solver reads, and L22, from which M is derived when read.
 """
 
 from __future__ import annotations
@@ -80,10 +79,9 @@ class MseBundle(_PerUser):
     """MMSE filters, error-matrix log-dets and inverses; all_bundles stacks them
     over users. All come from one Cholesky factor per stream (module docstring).
 
-    Stored: what the solver reads, the F and G blocks of Z as formed (F_raw,
-    G_raw) and the factor blocks L22c, L22p. Derived when read: the common- and
-    private-stream receive covariances F and G and the MMSE error matrices
-    Mc_mmse and Mp_mmse.
+    Stored: what the solver reads and the factor blocks L22c, L22p. Derived
+    when read: the common- and private-stream MMSE error matrices Mc_mmse and
+    Mp_mmse.
     """
 
     Dc: np.ndarray
@@ -92,13 +90,9 @@ class MseBundle(_PerUser):
     logdet_p: np.ndarray
     Mc_inv: np.ndarray
     Mp_inv: np.ndarray
-    F_raw: np.ndarray
-    G_raw: np.ndarray
     L22c: np.ndarray
     L22p: np.ndarray
 
-    F = property(lambda self: herm(self.F_raw))
-    G = property(lambda self: herm(self.G_raw))
     Mc_mmse = property(lambda self: herm(self.L22c @ _h(self.L22c)))
     Mp_mmse = property(lambda self: herm(self.L22p @ _h(self.L22p)))
 
@@ -198,41 +192,41 @@ def expectation_quadratic(variances, X):
 
 
 @lru_cache(maxsize=64)
-def _selector_rows(n, N, K, own):
-    """_bundles' Y with only its constant rows E^H filled in (own is a tuple); read-only."""
+def _selector_rows(N, K):
+    """all_bundles' Y with only its constant rows E^H filled in; read-only."""
     pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
-    Y = np.zeros((2 * n, 2 * N, N * (K + 1)), dtype=complex)
-    Y[:n, N:] = pick[0]
-    Y[n:, N:] = pick[np.asarray(own) + 1]
+    Y = np.zeros((2 * K, 2 * N, N * (K + 1)), dtype=complex)
+    Y[:K, N:] = pick[0]
+    Y[K:, N:] = pick[1:]
     Y.flags.writeable = False
     return Y
 
 
-def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
-    """MMSE bundles of the n channels H (n, M, N), stacked; channel i decodes
-    the private stream own[i] of the K in P.
+def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
+    """MMSE bundles of every user, stacked over users; user k decodes private stream k.
 
     F folds the full transmit power times the CSIT error variance into the
     common-stream noise floor; G is the private-only counterpart valid after
     common-stream removal.
     """
-    Hh = _h(np.asarray(H))                                   # (n, N, M)
-    n, N, _ = Hh.shape
-    K = len(P.Pp)
+    Hh = _h(np.asarray(H_hat))                               # (K, N, M)
+    K, N, _ = Hh.shape
+    s2 = np.asarray(sigma_e2, dtype=float)
+    if len(P.Pp) != K or s2.shape != (K,):
+        raise ValueError(f"{K} channels, {len(P.Pp)} private precoders and {s2.size} error variances disagree")
     Pfull = P.full()
-    Sfull = Hh @ Pfull                                       # (n, N, N(K+1))
+    Sfull = Hh @ Pfull                                       # (K, N, N(K+1))
     # Z = [[F, S], [S^H, I]] of the common (F, Sc) and the private (G, Sp)
-    # stream of every channel, stacked (2n, 2N, 2N), is the Gram matrix of
+    # stream of every user, stacked (2K, 2N, 2N), is the Gram matrix of
     # Y = [[R], [E^H]] plus the noise floor on F and G. R holds the columns
     # the stream receives (all of Sfull for F, its private ones for G) and E
     # picks the stream's own columns, so R E = S and E^H E = I exactly.
-    Y = _selector_rows(n, N, K, tuple(own)).copy()
-    Y[:n, :N] = Sfull
-    Y[n:, :N, N:] = Sfull[:, :, N:]
+    Y = _selector_rows(N, K).copy()
+    Y[:K, :N] = Sfull
+    Y[K:, :N, N:] = Sfull[:, :, N:]
     # not symmetrized: the Cholesky reads the lower triangle and real diagonal,
     # where numpy's product already equals its Hermitian part
     Z = Y @ _h(Y)
-    s2 = np.asarray(sigma_e2, dtype=float)
     tr_full = float(np.vdot(Pfull, Pfull).real)
     tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
     floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
@@ -243,18 +237,14 @@ def _bundles(H, sigma_e2, P: PrecoderSet, sigma_n2, own) -> MseBundle:
     D = L[:, N:, :N] @ Li[:, :N, :N]
     Mi = herm(_h(Li22) @ Li22)
     ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-    return MseBundle(D[:n], D[n:], logdet_c=ld[:n], logdet_p=ld[n:], Mc_inv=Mi[:n], Mp_inv=Mi[n:],
-                     F_raw=Z[:n, :N, :N], G_raw=Z[n:, :N, :N], L22c=L22[:n], L22p=L22[n:])
+    return MseBundle(D[:K], D[K:], logdet_c=ld[:K], logdet_p=ld[K:], Mc_inv=Mi[:K], Mp_inv=Mi[K:],
+                     L22c=L22[:K], L22p=L22[K:])
 
 
 def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
     """MMSE filters and error matrices for user k at the given precoders."""
-    return _bundles(np.asarray(H_hat_k)[None], [sigma_e2_k], P, sigma_n2, [k])[0]
-
-
-def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
-    """MMSE bundles of every user, stacked over users."""
-    return _bundles(H_hat, sigma_e2, P, sigma_n2, range(len(H_hat)))
+    K = len(P.Pp)
+    return all_bundles(np.broadcast_to(H_hat_k, (K, *np.shape(H_hat_k))), [sigma_e2_k] * K, P, sigma_n2)[k]
 
 
 def f1_from_bundles(bundles: MseBundle) -> float:

@@ -14,6 +14,7 @@ per-user lists as well as stacks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class SolverConfig:
     t_clamp: float = 1e-6
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (0.0 < self.obj_tol < 1e-1) or not (0.0 < self.bisect_tol < 1e-1):
@@ -271,8 +276,6 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     """
     H = np.asarray(H_hat)
     K = len(H)
-    if len(sigma_e2) != K:
-        raise ValueError("per-user error variance count does not match user count")
     for k, s2 in enumerate(sigma_e2):
         if not 0.0 <= s2 < math.inf:
             raise ValueError(f"user {k}: error variance must be finite and non-negative, got {s2}")

@@ -88,6 +88,7 @@ def test_help_and_usage_exit_codes(capsys):
         ("sweep", "--config", {"schemes": ["mrt", 1]}),
         ("converge", "--schemes", "mrt", "--draws", "1", "--snr-db", "20"),  # nothing to trace
         ("sweep", "--schemes", "proposed,mrt,proposed", "--draws", "3"),  # a scheme named twice
+        ("sweep", "--snr-db", "4000", "--draws", "1", "--schemes", "mrt"),  # rho overflows
     ],
 )
 def test_invalid_usage_exits_2(argv, tmp_path, capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rsmimo
+from rsmimo import evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +20,12 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_csv_header_matches_the_columns():
+    text = (ROOT / "README.md").read_text()
+    header = re.search(r"header row with the columns\s*```\n(.*)\n```", text)
+    assert header and header.group(1) == ",".join(evaluate.CSV_COLUMNS)
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)

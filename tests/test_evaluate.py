@@ -216,11 +216,51 @@ def test_quantized_mode_records_effective_variance():
         dict(csit="quantized", bits=0),
         dict(workers=0),
         dict(schemes=("proposed", "mrt", "proposed")),  # a scheme named twice
+        dict(draws=2.0),  # integer fields must be integers
+        dict(seed=1.5),
+        dict(csit="quantized", bits=2.5),
+        dict(M=4.0),
+        dict(workers="2"),
+        dict(snr_db_grid=(10.0, 4000.0)),  # 10^(snr_db/10) overflows
+        dict(snr_db_grid=(-4000.0,)),  # ... or underflows to 0
     ],
 )
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
         small_config(**overrides)
+
+
+def test_integer_fields_are_named_when_rejected_and_coerced_when_accepted():
+    for name, value in (("draws", 2.0), ("seed", 1.5), ("bits", 2.5), ("K", None)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            small_config(**{name: value})
+    with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
+        SolverConfig(max_iters=2.5)
+    with pytest.raises(ValueError, match="SNR 4000 dB"):
+        small_config(snr_db_grid=(4000.0,))
+    cfg = small_config(draws=np.int64(1), seed=np.int64(5), solver=SolverConfig(max_iters=np.int64(60)))
+    assert type(cfg.draws) is int and type(cfg.solver.max_iters) is int
+    assert csv_text(run_experiment(cfg)) == csv_text(run_experiment(small_config(draws=1)))
+
+
+def test_pool_is_no_larger_than_the_grid(monkeypatch):
+    # a stand-in for the process pool that records its size and runs the
+    # items on threads, each started only when an item needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+    one_item = small_config(draws=1, schemes=("mrt",))
+    texts = [csv_text(run_experiment(replace(one_item, workers=w))) for w in (1, 32)]
+    run_experiment(small_config(draws=4, schemes=("mrt",), workers=2))
+    assert sizes == [1, 2]
+    assert texts[0] == texts[1]
 
 
 def test_empirical_cdf_matches_sort_count_oracle():

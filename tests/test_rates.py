@@ -130,15 +130,21 @@ def test_expectation_quadratic_validates_inputs():
 # ----------------------------------------------------------- MSE bundles
 
 
+def receive_covariances(H_k, s2_k, P, sigma_n2):
+    """F and G of one user, formed densely from their definitions."""
+    eye = np.eye(H_k.shape[1])
+    return [H_k.conj().T @ T @ T.conj().T @ H_k + (s2_k * np.vdot(T, T).real + sigma_n2) * eye
+            for T in (P.full(), P.private())]
+
+
 def test_mse_matrices_are_hermitian_contractions():
     rng = make_rng(6)
     H_hat, s2 = random_instance(rng)
     P = random_precoders(rng)
     for k in range(4):
         b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
-        for A in (b.F, b.G, b.Mc_mmse, b.Mp_mmse):
-            assert np.max(np.abs(A - A.conj().T)) <= 1e-10
         for Mz in (b.Mc_mmse, b.Mp_mmse):
+            assert np.max(np.abs(Mz - Mz.conj().T)) <= 1e-10
             w = np.linalg.eigvalsh(Mz)
             assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
@@ -150,7 +156,8 @@ def test_mse_bundle_matches_direct_inverse_route():
     for k in range(4):
         b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
         Sc = H_hat[k].conj().T @ P.Pc
-        Mc_raw = np.eye(2) - Sc.conj().T @ np.linalg.inv(b.F) @ Sc
+        F, _ = receive_covariances(H_hat[k], s2[k], P, 1.0)
+        Mc_raw = np.eye(2) - Sc.conj().T @ np.linalg.inv(F) @ Sc
         assert np.max(np.abs(Mc_raw - b.Mc_mmse)) < 1e-10
 
 
@@ -172,11 +179,12 @@ def test_mmse_inverse_identity_small():
         P = random_precoders(rng, 6, 2, 3, rho=10.0 ** rng.uniform(0, 3))
         k = int(rng.integers(3))
         b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
-        for S, F, Mz in (
-            (H_hat[k].conj().T @ P.Pc, b.F, b.Mc_mmse),
-            (H_hat[k].conj().T @ P.Pp[k], b.G, b.Mp_mmse),
+        F, G = receive_covariances(H_hat[k], s2[k], P, 1.0)
+        for S, cov, Mz in (
+            (H_hat[k].conj().T @ P.Pc, F, b.Mc_mmse),
+            (H_hat[k].conj().T @ P.Pp[k], G, b.Mp_mmse),
         ):
-            sinr = S.conj().T @ np.linalg.inv(F - S @ S.conj().T) @ S
+            sinr = S.conj().T @ np.linalg.inv(cov - S @ S.conj().T) @ S
             gap = np.max(np.abs(np.linalg.inv(Mz) - (np.eye(2) + sinr)))
             assert gap < 1e-8
 
@@ -252,8 +260,9 @@ def test_fused_bundles_match_dense_oracle(M, N, K, snr_db, s2, near_rank_deficie
 @pytest.mark.parametrize("M,N,K", [(8, 2, 4), (4, 2, 4), (2, 1, 6), (16, 4, 8), (6, 3, 2)])
 def test_bundles_match_frozen_kernel(M, N, K):
     # the trimmed kernel (cached selector rows, no symmetrization of the Gram
-    # matrix, in-place noise floor, derived F, G and MMSE matrices) is bit-equal
-    # to the eager one on every field, stacked and per user
+    # matrix, in-place noise floor, derived MMSE matrices) is bit-equal to the
+    # eager one on every field the bundle has (all the reference's but F and
+    # G), stacked and per user
     for snr_db in range(0, 71, 10):
         rho = 10.0 ** (snr_db / 10.0)
         for s2 in (0.0, 0.1, 0.99):
@@ -261,11 +270,22 @@ def test_bundles_match_frozen_kernel(M, N, K):
             H_hat, sig = random_instance(rng, M, N, K, s2)
             for P in (random_precoders(rng, M, N, K, rho=rho), random_precoders(rng, M, N, K, rho=rho, t=1.0)):
                 ref = frozen_bundles(H_hat, sig, P.Pc, P.Pp, 1.0, range(K))
+                del ref["F"], ref["G"]
                 b = all_bundles(H_hat, sig, P, 1.0)
                 assert all(np.array_equal(getattr(b, name), ref[name]) for name in ref)
                 for k in range(K):
                     bk = mse_bundle(H_hat[k], sig[k], P, 1.0, k)
                     assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in ref)
+
+
+def test_bundles_reject_mismatched_counts():
+    rng = make_rng(512)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    P = random_precoders(rng, 6, 2, 3, rho=10.0)
+    with pytest.raises(ValueError, match="2 channels, 3 private precoders and 2 error variances"):
+        all_bundles(H_hat[:2], s2[:2], P, 1.0)
+    with pytest.raises(ValueError, match="3 channels, 3 private precoders and 2 error variances"):
+        all_bundles(H_hat, s2[:2], P, 1.0)
 
 
 def test_bundles_raise_on_non_definite_covariance():
