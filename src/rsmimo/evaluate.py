@@ -216,11 +216,12 @@ def _item_args(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full grid; deterministic for a given config regardless of workers."""
     items = list(_item_args(cfg))
-    if cfg.workers == 1:
+    workers = min(cfg.workers, len(items))
+    if workers == 1:
         outputs = [_run_draw(*args) for args in items]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool run
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(items))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_draw, *args) for args in items]
             outputs = [f.result() for f in futures]
     records, failures = [], []

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 LN2 = np.log(2.0)
 
@@ -125,12 +126,33 @@ def checked_real(z):
     return float(z.real) if z.ndim == 0 else z.real
 
 
+def _not_positive_definite(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _cholesky(A, inverse=True):
+    """Lower Cholesky factor L of complex Hermitian positive definite matrices
+    (one or a stack) and, if asked, L^-1; (L, None) otherwise.
+
+    Only the lower triangle of A is read. L and L^-1 come from the gufuncs
+    that numpy.linalg's cholesky and inv call, with the same signature, so
+    their bits are the same; the wrapper's per-call conversions and checks are
+    skipped. Both run under one error state with numpy.linalg's settings: a
+    factorization that fails flags its output invalid, which raises
+    LinAlgError, and no RuntimeWarning escapes. As through numpy.linalg, a NaN
+    in A is not flagged by OpenBLAS's Cholesky; it comes out as NaN in L.
+    """
+    with np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        L = _umath_linalg.cholesky_lo(A, signature="D->D")
+        return L, (_umath_linalg.inv(L, signature="D->D") if inverse else None)
+
+
 def cholesky_logdet(A):
     """log det of Hermitian positive definite matrices via their Cholesky factors.
 
     A must be Hermitian by construction: only its lower triangle is read.
     """
-    L = np.linalg.cholesky(A)
+    L, _ = _cholesky(A, inverse=False)
     return 2.0 * np.sum(np.log(np.real(np.diagonal(L, axis1=-2, axis2=-1))), axis=-1)
 
 
@@ -140,7 +162,7 @@ def cholesky_solve(A, B):
     A must be Hermitian by construction: only its lower triangle is read. The
     factor L is inverted once and X = L^-H (L^-1 B).
     """
-    Li = np.linalg.inv(np.linalg.cholesky(A))
+    _, Li = _cholesky(A)
     return _h(Li) @ (Li @ B)
 
 
@@ -231,8 +253,7 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
     tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
     floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
     np.einsum("kii->ki", Z[:, :N, :N])[...] += floor[:, None]
-    L = np.linalg.cholesky(Z)
-    Li = np.linalg.inv(L)
+    L, Li = _cholesky(Z)
     L22, Li22 = L[:, N:, N:], Li[:, N:, N:]
     D = L[:, N:, :N] @ Li[:, :N, :N]
     Mi = herm(_h(Li22) @ Li22)

@@ -260,7 +260,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     (`_extrapolate`) and makes one stabilizing sweep from the extrapolated
     point. A cycle skips the extrapolation when the all-private lock changed
     during it or the extrapolated split leaves the clamp interval. step_max
-    starts at 1 and is multiplied by 4 each time a capped step is kept.
+    starts at 1 and is multiplied by 4 each time a capped step is planned.
 
     Every sweep, the stabilizing one included, is measured against the last
     accepted objective (f(P2) for the stabilizing sweep), so the trace holds

@@ -259,7 +259,7 @@ def test_pool_is_no_larger_than_the_grid(monkeypatch):
     one_item = small_config(draws=1, schemes=("mrt",))
     texts = [csv_text(run_experiment(replace(one_item, workers=w))) for w in (1, 32)]
     run_experiment(small_config(draws=4, schemes=("mrt",), workers=2))
-    assert sizes == [1, 2]
+    assert sizes == [2]  # the one-item grid runs in-process, with no pool
     assert texts[0] == texts[1]
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from oracles import (
 )
 from rsmimo.rates import (
     PrecoderSet,
+    _cholesky,
     all_bundles,
     checked_real,
+    cholesky_logdet,
+    cholesky_solve,
     expectation_quadratic,
     f1_from_bundles,
     instantaneous_rates,
@@ -310,6 +314,76 @@ def test_bundles_raise_on_non_definite_error_matrix():
     assert np.linalg.eigvalsh(Sfull @ Sfull.conj().T)[0] > delta
     with pytest.raises(np.linalg.LinAlgError):
         all_bundles(H_hat, [0.0], P, -delta)
+
+
+# --------------------------------------------------- Cholesky factorization
+
+
+def random_hpd(rng, shape):
+    """Random complex Hermitian positive definite matrices of the given shape."""
+    n = shape[-1]
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return X @ X.conj().swapaxes(-1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (8, 4, 4), (16, 2, 2), (8, 8)])
+def test_cholesky_helper_is_bit_equal_to_numpy_linalg(shape):
+    # (8, 4, 4) is all_bundles' augmented stack at K = 4, N = 2; 8 x 8 is the
+    # M x M system cholesky_solve receives from P1 and P2 at M = 8
+    A = random_hpd(make_rng(520), shape)
+    L, Li = _cholesky(A)
+    assert np.array_equal(L, np.linalg.cholesky(A))
+    assert np.array_equal(Li, np.linalg.inv(np.linalg.cholesky(A)))
+    assert L.dtype == Li.dtype == np.complex128
+    L_only, no_inverse = _cholesky(A, inverse=False)
+    assert np.array_equal(L_only, L) and no_inverse is None
+
+
+def faulty_cholesky_inputs(fault):
+    """One 8 x 8 system as cholesky_solve receives it and a (12, 2, 2) stack as
+    instantaneous_rates passes to cholesky_logdet, each with the fault in one
+    matrix: an indefinite diagonal entry or a NaN in the lower triangle."""
+    rng = make_rng(521)
+    A, stack = random_hpd(rng, (8, 8)), random_hpd(rng, (12, 2, 2))
+    for bad in (A, stack[5]):
+        if fault == "indefinite":
+            bad[-1, -1] = -1.0
+        else:
+            bad[1, 0] = bad[0, 1] = np.nan
+    return A, rng.standard_normal((8, 3)) + 0j, stack
+
+
+@pytest.mark.parametrize("route", ["cholesky_solve", "cholesky_logdet"])
+def test_cholesky_routes_raise_on_an_indefinite_matrix_without_warnings(route):
+    A, B, stack = faulty_cholesky_inputs("indefinite")
+    errstate = (np.geterr(), np.geterrcall())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            cholesky_solve(A, B) if route == "cholesky_solve" else cholesky_logdet(stack)
+    assert (np.geterr(), np.geterrcall()) == errstate
+
+
+def test_cholesky_routes_treat_a_nan_as_numpy_linalg_does():
+    # numpy's OpenBLAS Cholesky does not flag a NaN pivot: np.linalg.cholesky
+    # returns NaN factors with no error or warning, and so do the routes. A
+    # LAPACK build that flags it makes numpy.linalg and the routes raise.
+    A, B, stack = faulty_cholesky_inputs("nan")
+    errstate = (np.geterr(), np.geterrcall())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            Li, L = np.linalg.inv(np.linalg.cholesky(A)), np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            for route, args in ((cholesky_solve, (A, B)), (cholesky_logdet, (stack,))):
+                with pytest.raises(np.linalg.LinAlgError):
+                    route(*args)
+        else:
+            assert np.array_equal(cholesky_solve(A, B), Li.conj().T @ (Li @ B), equal_nan=True)
+            ld = cholesky_logdet(stack)
+            assert np.array_equal(ld, 2.0 * np.log(L.diagonal(axis1=1, axis2=2).real).sum(axis=1), equal_nan=True)
+            assert np.isnan(ld[5]) and np.isfinite(np.delete(ld, 5)).all()
+    assert (np.geterr(), np.geterrcall()) == errstate
 
 
 # ------------------------------------------------------------- objectives
