@@ -30,9 +30,8 @@ DEFAULTS = {
     "draws": 200,
     "schemes": "proposed,rwmmse,mrt",
     "seed": 7,
-    "max_iters": 100,
-    "obj_tol": 1e-4,
-    "bisect_tol": 1e-8,
+    "max_iters": SolverConfig.max_iters,
+    "obj_tol": SolverConfig.obj_tol,
     "out_dir": ".",
     "format": "both",
     "csit": "estimation",
@@ -141,9 +140,7 @@ def _checked(key, value):
 
 
 def _experiment_config(res) -> ExperimentConfig:
-    solver = SolverConfig(
-        max_iters=res["max_iters"], obj_tol=res["obj_tol"], bisect_tol=res["bisect_tol"]
-    )
+    solver = SolverConfig(max_iters=res["max_iters"], obj_tol=res["obj_tol"])
     return ExperimentConfig(
         M=res["m"], N=res["n"], K=res["k"],
         snr_db_grid=parse_grid(res["snr_db"]),

@@ -24,7 +24,7 @@ from .rates import (
     objective_f2,
     weights,
 )
-from .solver import SolverConfig, run, solve_p1, solve_p2, solve_p3
+from .solver import T_CLAMP, SolverConfig, run, solve_p1, solve_p2, solve_p3
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,8 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
     rng = np.random.default_rng(seed)
     M, N, K = 8, 2, 4
     rho, sn2 = 100.0, 1.0
-    cfg = SolverConfig()
     # the grid locates the root to half its spacing, so the gate scales with it
-    spacing = (1.0 - 2.0 * cfg.t_clamp) / (grid_points - 1)
+    spacing = (1.0 - 2.0 * T_CLAMP) / (grid_points - 1)
     gate = max(2e-6, 2.0 * spacing)
     worst_gap = 0.0
     sign_ok = True
@@ -227,7 +226,7 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
         Pc, A, U = solve_p2(H_hat, sig2, bundles2.Dc, weights(bundles2).Wc, Pp_cat, rho, t, sn2)
         Pc_norm = Pc / np.linalg.norm(Pc)
         Pp_norm = Pp_cat / np.linalg.norm(Pp_cat)
-        t_star, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg)
+        t_star, flag = solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho)
         # independent dense evaluation of the same derivative
         a = checked_real(np.trace(U.conj().T @ Pc_norm))
         bb = checked_real(np.trace(V.conj().T @ Pp_norm))
@@ -235,7 +234,7 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
             checked_real(np.trace((A + B) @ Pp_norm @ Pp_norm.conj().T))
             - checked_real(np.trace(A @ Pc_norm @ Pc_norm.conj().T))
         )
-        ts = np.linspace(cfg.t_clamp, 1.0 - cfg.t_clamp, grid_points)
+        ts = np.linspace(T_CLAMP, 1.0 - T_CLAMP, grid_points)
         dv = np.sqrt(rho / (1.0 - ts)) * a - np.sqrt(rho / ts) * bb + c
         if dv[0] >= 0.0 or dv[-1] <= 0.0:
             sign_ok = False

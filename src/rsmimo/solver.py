@@ -30,13 +30,14 @@ from .rates import (
     weights,
 )
 
+T_CLAMP = 1e-6  # the power split t stays in [T_CLAMP, 1 - T_CLAMP] unless all-private (t = 1)
+BISECT_TOL = 1e-8  # width of the final bisection interval around the split root
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 100
     obj_tol: float = 1e-4
-    bisect_tol: float = 1e-8
-    t_clamp: float = 1e-6
 
     def __post_init__(self):
         try:
@@ -45,10 +46,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (0.0 < self.obj_tol < 1e-1) or not (0.0 < self.bisect_tol < 1e-1):
-            raise ValueError("tolerances must lie in (0, 1e-1)")
-        if not (0.0 < self.t_clamp <= 1e-3):
-            raise ValueError("t_clamp must lie in (0, 1e-3]")
+        if not (0.0 < self.obj_tol < 1e-1):
+            raise ValueError("obj_tol must lie in (0, 1e-1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +189,8 @@ def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
 
 
-def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
-    """Root of the power-split derivative on [t_clamp, 1 - t_clamp] by bisection.
+def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
+    """Root of the power-split derivative on [T_CLAMP, 1 - T_CLAMP] by bisection.
 
     Returns (t_star, flag) where flag is '' for an interior root and 'low' or
     'high' when the derivative does not change sign inside the clamped interval.
@@ -207,14 +206,14 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho, cfg: SolverConfig):
     def deriv(t):
         return math.sqrt(rho / (1.0 - t)) * a - math.sqrt(rho / t) * b + c
 
-    lo, hi = cfg.t_clamp, 1.0 - cfg.t_clamp
+    lo, hi = T_CLAMP, 1.0 - T_CLAMP
     d_lo, d_hi = deriv(lo), deriv(hi)
     if d_lo >= 0.0:
         return lo, "low"
     if d_hi <= 0.0:
         return hi, "high"
     # derivative is strictly increasing in t, so the sign change is unique
-    while hi - lo > cfg.bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if deriv(mid) < 0.0:
             lo = mid
@@ -228,15 +227,15 @@ def _check_power(P: PrecoderSet, rho, where):
         raise RuntimeError(f"{where}: power constraint violated ({P.power():.12g} vs {rho:.12g})")
 
 
-def _extrapolate(P0, P1, P2, step_max, locked, t_clamp):
+def _extrapolate(P0, P1, P2, step_max):
     """SQUAREM step (Varadhan & Roland 2008) from three successive iterates.
 
     With r = P1 - P0 and v = P2 - 2 P1 + P0 over all precoder blocks, the step
     alpha = -||r|| / ||v|| is clamped to [-step_max, -1]; alpha = -1 gives P2
     itself, and P and t are then None. Otherwise P is P0 - 2 alpha r + alpha^2 v
     rescaled to the power budget, with split t = ||Pp||^2 / rho. Returns
-    (alpha, P, t), or None when t leaves [t_clamp, 1 - t_clamp]. An all-private
-    design keeps its zero common block and t = 1.
+    (alpha, P, t), or None when t leaves [T_CLAMP, 1 - T_CLAMP]. All-private
+    iterates (zero common blocks) give a zero common block and t = 1.
     """
     X0, X1, X2 = (np.concatenate([P.Pc[None], P.Pp]) for P in (P0, P1, P2))
     r = X1 - X0
@@ -247,8 +246,8 @@ def _extrapolate(P0, P1, P2, step_max, locked, t_clamp):
         return alpha, None, None
     X = X0 - 2.0 * alpha * r + alpha**2 * v
     X *= math.sqrt(P0.rho / float(np.vdot(X, X).real))
-    t = 1.0 if locked else float(np.vdot(X[1:], X[1:]).real) / P0.rho
-    if not locked and not t_clamp <= t <= 1.0 - t_clamp:
+    t = float(np.vdot(X[1:], X[1:]).real) / P0.rho if P0.Pc.any() else 1.0
+    if P0.Pc.any() and not T_CLAMP <= t <= 1.0 - T_CLAMP:
         return None
     return alpha, PrecoderSet(Pc=X[0], Pp=X[1:], rho=P0.rho), t
 
@@ -258,9 +257,10 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
 
     A cycle makes two sweeps P0 -> P1 -> P2, extrapolates along them
     (`_extrapolate`) and makes one stabilizing sweep from the extrapolated
-    point. A cycle skips the extrapolation when the all-private lock changed
-    during it or the extrapolated split leaves the clamp interval. step_max
-    starts at 1 and is multiplied by 4 each time a capped step is planned.
+    point. A cycle skips the extrapolation when the design turned all-private
+    (t = 1 and a zero common block, for good) during it or the extrapolated
+    split leaves the clamp interval. step_max starts at 1 and is multiplied by
+    4 each time a capped step is planned.
 
     Every sweep, the stabilizing one included, is measured against the last
     accepted objective (f(P2) for the stabilizing sweep), so the trace holds
@@ -269,7 +269,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     increase the objective is discarded and ends it too ('overshoot'), which
     keeps P2 when the stabilizing sweep fails. `max_iters` counts sweeps,
     stabilizing ones included.
-    `force_sdma` pins the common precoder to zero and t to 1 throughout.
+    `force_sdma` starts the design all-private.
     The bundles behind each accepted objective value serve the next sweep's
     private block, so a sweep computes bundles twice (once if all-private),
     and an extrapolated point once more.
@@ -286,26 +286,25 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     P, t = initialize(H, rho, max(sigma_e2))
     if force_sdma and t < 1.0:
         P, t = _all_private(P), 1.0
-    locked = t >= 1.0
     _check_power(P, rho, "initialization")
     boundary_hits = []
 
     def sweep(it, x):
-        """A pass from the accepted iterate or the extrapolated x = (P, t); returns (P, t, locked, bundles, f)."""
+        """A pass from the accepted iterate or the extrapolated x = (P, t); returns (P, t, bundles, f)."""
         P_s, t_s = x or (P, t)
         start = all_bundles(H, sigma_e2, P_s, sigma_n2) if x else bundles
         Pp_cat, B, V = solve_p1(H, sigma_e2, start.Dp, weights(start).Wp, rho, t_s, sigma_n2)
         Pc, t_new, flag = np.zeros_like(P_s.Pc), 1.0, ""
-        if not locked:
+        if t_s < 1.0:
             P_mid = PrecoderSet(Pc=P_s.Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
             mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
             try:
                 Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t_s, sigma_n2)
             except CommonCollapse:
-                flag = "sdma"  # continue as an all-private design, locked from here on
+                flag = "sdma"  # continue as an all-private design
             else:
                 Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
-                t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho, cfg)
+                t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho)
                 Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
             if flag:
                 boundary_hits.append((it, flag))
@@ -314,36 +313,36 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             P_new = _all_private(P_new)
         _check_power(P_new, rho, f"iteration {it}")
         bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
-        return P_new, t_new, locked or flag == "sdma", bundles_new, f1_from_bundles(bundles_new)
+        return P_new, t_new, bundles_new, f1_from_bundles(bundles_new)
 
     bundles = all_bundles(H, sigma_e2, P, sigma_n2)
     f_cur = f1_from_bundles(bundles)
     trace = [f_cur]
-    cycle = [(P, locked)]  # the cycle's accepted iterates and their locks, P0 first
+    cycle = [P]  # the cycle's accepted iterates, P0 first
     x = None  # the next sweep's extrapolated start (P, t), if any
     step_max, tried, kept = 1.0, 0, 0
     termination = "max_iters"
     for it in range(cfg.max_iters):
         tried += x is not None
         try:
-            P_new, t_new, locked_new, bundles_new, f_new = sweep(it, x)
+            P_new, t_new, bundles_new, f_new = sweep(it, x)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
 
         converged = f_cur - f_new < cfg.obj_tol * abs(f_cur)
         if f_new <= f_cur:  # a sweep that overshot is discarded, and then converged holds
-            P, t, locked, bundles, f_cur = P_new, t_new, locked_new, bundles_new, f_new
+            P, t, bundles, f_cur = P_new, t_new, bundles_new, f_new
             trace.append(f_new)
             kept += x is not None
         if converged:
             termination = "tol" if f_new <= f_cur else "overshoot"
             break
 
-        cycle.append((P, locked))
+        cycle.append(P)
         x = None
         if len(cycle) == 3:
-            (P0, lock0), (P1, _), _ = cycle
-            step = None if locked != lock0 else _extrapolate(P0, P1, P, step_max, locked, cfg.t_clamp)
+            P0, P1, _ = cycle
+            step = None if P0.Pc.any() != P.Pc.any() else _extrapolate(P0, P1, P, step_max)
             if step is None:
                 del cycle[:2]  # P2 starts the next cycle
             else:  # the stabilizing sweep's iterate starts the next cycle
@@ -352,7 +351,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
                     step_max *= 4.0
                 x = None if P_x is None else (P_x, t_x)
 
-    if not locked and t > 1.0 - 1e-4:
+    if 1.0 - 1e-4 < t < 1.0:
         # nearly all-private solution: drop the residual common component
         P, t = _all_private(P), 1.0
         _check_power(P, rho, "final rebalance")

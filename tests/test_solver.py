@@ -21,6 +21,7 @@ from rsmimo.rates import (
     weights,
 )
 from rsmimo.solver import (
+    T_CLAMP,
     CommonCollapse,
     SolverConfig,
     _block_system,
@@ -282,9 +283,9 @@ def test_run_skips_extrapolation_across_the_all_private_lock(monkeypatch):
             raise CommonCollapse("synthetic collapse")
         return real_p2(*args)
 
-    def recording(P0, P1, P2, step_max, locked, t_clamp):
-        starts.append((P0.Pc.any(), locked))
-        return extrapolate(P0, P1, P2, step_max, locked, t_clamp)
+    def recording(P0, P1, P2, step_max):
+        starts.append((P0.Pc.any(), not P2.Pc.any()))
+        return extrapolate(P0, P1, P2, step_max)
 
     monkeypatch.setattr(solver, "solve_p2", collapsing)
     monkeypatch.setattr(solver, "_extrapolate", recording)
@@ -313,12 +314,11 @@ def _split_inputs_from_state(H_hat, sigma_e2, state, sigma_n2=1.0):
 
 
 def test_split_root_matches_grid_scan(converged_states):
-    cfg = SolverConfig()
     for H_hat, s2, rho, state in converged_states:
         if state.t >= 1.0:
             continue
         U, V, A, B, Pc_n, Pp_n = _split_inputs_from_state(H_hat, s2, state)
-        t_star, flag = solve_p3(U, V, A, B, Pc_n, Pp_n, rho, cfg)
+        t_star, flag = solve_p3(U, V, A, B, Pc_n, Pp_n, rho)
         a = np.trace(U.conj().T @ Pc_n).real
         b = np.trace(V.conj().T @ Pp_n).real
         c = rho * (np.trace((A + B) @ Pp_n @ Pp_n.conj().T).real - np.trace(A @ Pc_n @ Pc_n.conj().T).real)
@@ -326,7 +326,7 @@ def test_split_root_matches_grid_scan(converged_states):
         def deriv(t):
             return np.sqrt(rho / (1.0 - t)) * a - np.sqrt(rho / t) * b + c
 
-        lo, hi = cfg.t_clamp, 1.0 - cfg.t_clamp
+        lo, hi = T_CLAMP, 1.0 - T_CLAMP
         t_ref = grid_scan_root(deriv, lo, hi, points=200_001)
         if flag == "":
             assert t_ref is not None
@@ -341,7 +341,7 @@ def test_split_root_symmetric_case_is_half():
     X = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     X /= np.linalg.norm(X)
     Z = np.zeros((6, 6), dtype=complex)
-    t_star, flag = solve_p3(X, X, Z, Z, X, X, 25.0, SolverConfig())
+    t_star, flag = solve_p3(X, X, Z, Z, X, X, 25.0)
     assert flag == ""
     assert t_star == pytest.approx(0.5, abs=1e-8)
 
@@ -351,13 +351,12 @@ def test_split_root_boundary_flags():
     X = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     X /= np.linalg.norm(X)
     Z = np.zeros((6, 6), dtype=complex)
-    cfg = SolverConfig()
-    t_star, flag = solve_p3(1e-12 * X, X, Z, Z, X, X, 25.0, cfg)
-    assert flag == "high" and t_star == pytest.approx(1.0 - cfg.t_clamp)
-    t_star, flag = solve_p3(X, 1e-12 * X, Z, Z, X, X, 25.0, cfg)
-    assert flag == "low" and t_star == pytest.approx(cfg.t_clamp)
+    t_star, flag = solve_p3(1e-12 * X, X, Z, Z, X, X, 25.0)
+    assert flag == "high" and t_star == pytest.approx(1.0 - T_CLAMP)
+    t_star, flag = solve_p3(X, 1e-12 * X, Z, Z, X, X, 25.0)
+    assert flag == "low" and t_star == pytest.approx(T_CLAMP)
     with pytest.raises(ValueError):
-        solve_p3(-X, X, Z, Z, X, X, 25.0, cfg)
+        solve_p3(-X, X, Z, Z, X, X, 25.0)
 
 
 # ---------------------------------------------------------------- full runs
@@ -441,6 +440,7 @@ def test_run_wraps_in_sweep_failures_with_iteration_context(monkeypatch):
     monkeypatch.setattr("rsmimo.solver.weights", explode)
     with pytest.raises(RuntimeError, match="iteration 0"):
         run(H_hat, s2, 50.0, 1.0)
+
 
 
 def test_all_private_solution_is_stationary_on_power_sphere():
