@@ -223,7 +223,7 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
 
 
 def _check_power(P: PrecoderSet, rho, where):
-    if abs(P.power() - rho) > 1e-9 * rho:
+    if not abs(P.power() - rho) <= 1e-9 * rho:  # a NaN power fails too
         raise RuntimeError(f"{where}: power constraint violated ({P.power():.12g} vs {rho:.12g})")
 
 
@@ -283,7 +283,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         raise ValueError(f"rho and sigma_n2 must be finite and positive, got {rho} and {sigma_n2}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
-    P, t = initialize(H, rho, max(sigma_e2))
+    P, t = initialize(H, rho, max(sigma_e2, default=0.0))  # all_bundles rejects an empty list
     if force_sdma and t < 1.0:
         P, t = _all_private(P), 1.0
     _check_power(P, rho, "initialization")

@@ -1,7 +1,9 @@
-# Docs tests: the README quick start runs, every demo imports, and the
-# top-level exports resolve, so trimming the public surface cannot break them.
+# Docs tests: the README quick start runs, every demo imports, the top-level
+# exports resolve and every documented flag exists, so trimming the public
+# surface cannot break them.
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import re
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rsmimo
-from rsmimo import evaluate
+from rsmimo import cli, evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +28,22 @@ def test_readme_csv_header_matches_the_columns():
     text = (ROOT / "README.md").read_text()
     header = re.search(r"header row with the columns\s*```\n(.*)\n```", text)
     assert header and header.group(1) == ",".join(evaluate.CSV_COLUMNS)
+
+
+def test_readme_command_line_flags_are_accepted():
+    # a flag on an `rsmimo <command>` line belongs to that command; one in the
+    # prose, to every command that takes the shared flags
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Command line\n(.*?)^## ", text, flags=re.MULTILINE | re.DOTALL).group(1)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    named = set()
+    for line in section.splitlines():
+        command = re.match(r"rsmimo (\w+)", line)
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line):
+            named.update((c, flag) for c in ([command.group(1)] if command else ["sweep", "converge", "cdf"]))
+    assert len(named) > 10
+    assert sorted(n for n in named if n[1] not in commands[n[0]]._option_string_actions) == []
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)

@@ -442,6 +442,31 @@ def test_run_wraps_in_sweep_failures_with_iteration_context(monkeypatch):
         run(H_hat, s2, 50.0, 1.0)
 
 
+@pytest.mark.parametrize("rho", [100.0, 5.0])  # rate-splitting and all-private starts
+def test_run_raises_on_a_nan_power_naming_the_iteration(monkeypatch, rho):
+    # a NaN power must fail the power check, or the run discards every sweep
+    # and returns its initial precoders at max_iters as if they were a design
+    import rsmimo.solver as solver
+
+    real_p1 = solver.solve_p1
+
+    def nan_p1(*args):
+        Pp_cat, B, V = real_p1(*args)
+        return np.full_like(Pp_cat, np.nan), B, V
+
+    monkeypatch.setattr(solver, "solve_p1", nan_p1)
+    H_hat, s2 = random_instance(make_rng(39), 8, 2, 4, 0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="iteration 0: power constraint violated"):
+        run(H_hat, s2, rho, 1.0, SolverConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_run_names_the_counts_of_a_short_error_variance_list(count):
+    # an empty list gets the same count-naming error as a short one
+    H_hat, _ = random_instance(make_rng(40), 8, 2, 4, 0.1)
+    with pytest.raises(ValueError, match=f"4 channels, 4 private precoders and {count} error variances disagree"):
+        run(H_hat, [0.1] * count, 100.0, 1.0)
+
 
 def test_all_private_solution_is_stationary_on_power_sphere():
     # in the all-private regime the accepted fixed point must kill the
