@@ -171,11 +171,8 @@ def _cmd_sweep(args) -> int:
     result = run_experiment(_experiment_config(res))
     for cell in result.cells:
         sig = "quantized" if cell.sigma_e2 is None else f"{cell.sigma_e2:g}"
-        print(
-            f"sigma_e2={sig} snr_db={cell.snr_db:g} {cell.scheme}: "
-            f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits "
-            f"({cell.draws_used} draws, {cell.failures} failed)"
-        )
+        esr = "no draws" if cell.esr_bits is None else f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits"
+        print(f"sigma_e2={sig} snr_db={cell.snr_db:g} {cell.scheme}: {esr} ({cell.draws_used} draws, {cell.failures} failed)")
     texts = {"sweep.csv": csv_text(result), "sweep.json": json_summary(result)}
     _write(res["out_dir"], res["format"], texts)
     return 0

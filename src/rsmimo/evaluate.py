@@ -82,8 +82,8 @@ class ExperimentConfig:
                 raise ValueError(f"scheme '{s}' is named more than once")
         if self.csit not in ("estimation", "quantized"):
             raise ValueError(f"csit mode must be 'estimation' or 'quantized', got '{self.csit}'")
-        if self.csit == "quantized" and self.bits < 1:
-            raise ValueError("quantized CSIT requires bits >= 1")
+        if self.csit == "quantized" and not 1 <= self.bits <= channels.MAX_CODEBOOK_BITS:
+            raise ValueError(f"quantized CSIT requires bits in [1, {channels.MAX_CODEBOOK_BITS}], got {self.bits}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -107,8 +107,8 @@ class CellSummary:
     scheme: str
     snr_db: float
     sigma_e2: object  # grid value, or None in quantized mode
-    esr_bits: float
-    std_err: float
+    esr_bits: float | None  # None (JSON null) for a cell whose every draw failed
+    std_err: float | None
     draws_used: int
     failures: int
     boundary_hits: int
@@ -259,12 +259,9 @@ def _summarize(cfg: ExperimentConfig, items, outputs):
             for scheme in cfg.schemes:
                 sel, fails = groups.get((sigma_idx, snr_idx, scheme), ((), ()))
                 rates_arr = np.array([r.sum_rate_bits for r in sel], dtype=float)
-                esr = float(np.mean(rates_arr)) if rates_arr.size else float("nan")
-                se = (
-                    float(np.std(rates_arr, ddof=1) / np.sqrt(rates_arr.size))
-                    if rates_arr.size > 1
-                    else 0.0
-                )
+                esr, se = (float(np.mean(rates_arr)), 0.0) if rates_arr.size else (None, None)
+                if rates_arr.size > 1:
+                    se = float(np.std(rates_arr, ddof=1) / np.sqrt(rates_arr.size))
                 cells.append(
                     CellSummary(
                         scheme=scheme,

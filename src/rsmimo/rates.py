@@ -23,6 +23,7 @@ and M^-1, which the solver reads, and L22, from which M is derived when read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -121,15 +122,22 @@ def checked_real(z):
     """Real part of a scalar or array, rejecting non-negligible imaginary residue."""
     z = np.asarray(z)
     residue = abs(z.imag)
-    if (residue > 1e-10 * (1.0 + abs(z.real))).any():
+    if np.count_nonzero(residue > 1e-10 * (1.0 + abs(z.real))):
         raise ValueError(f"imaginary residue {residue.max():.3e} too large for real extraction")
     return float(z.real) if z.ndim == 0 else z.real
+
+
+def frobenius(x) -> float:
+    """np.linalg.norm(x) of a complex array, bit for bit, without numpy.linalg's dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _not_positive_definite(err, flag):
     raise LinAlgError("Matrix is not positive definite")
 
 
+@np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _cholesky(A, inverse=True):
     """Lower Cholesky factor L of complex Hermitian positive definite matrices
     (one or a stack) and, if asked, L^-1; (L, None) otherwise.
@@ -142,9 +150,8 @@ def _cholesky(A, inverse=True):
     LinAlgError, and no RuntimeWarning escapes. As through numpy.linalg, a NaN
     in A is not flagged by OpenBLAS's Cholesky; it comes out as NaN in L.
     """
-    with np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        L = _umath_linalg.cholesky_lo(A, signature="D->D")
-        return L, (_umath_linalg.inv(L, signature="D->D") if inverse else None)
+    L = _umath_linalg.cholesky_lo(A, signature="D->D")
+    return L, (_umath_linalg.inv(L, signature="D->D") if inverse else None)
 
 
 def cholesky_logdet(A):
@@ -168,7 +175,7 @@ def cholesky_solve(A, B):
 
 def logsumexp(x) -> float:
     x = np.asarray(x, dtype=float)
-    m = float(x.max())
+    m = max(x.ravel().tolist())  # x.max() without a ufunc reduction; a NaN gives NaN either way
     return m + float(np.log(np.exp(x - m).sum()))
 
 
@@ -270,7 +277,7 @@ def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
 
 def f1_from_bundles(bundles: MseBundle) -> float:
     """Smoothed max of common log-det MSEs plus the private log-det sum, in nats."""
-    return logsumexp(bundles.logdet_c) + float(np.sum(bundles.logdet_p))
+    return logsumexp(bundles.logdet_c) + float(bundles.logdet_p.sum())
 
 
 def objective_f1(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> float:

@@ -25,6 +25,7 @@ from .rates import (
     checked_real,
     cholesky_solve,
     f1_from_bundles,
+    frobenius,
     herm,
     side_by_side,
     weights,
@@ -165,7 +166,7 @@ def solve_p1(H_hat, sigma_e2, Dp_list, Wp_list, rho, t_star, sigma_n2):
     if lam1 <= 0.0:
         raise ValueError("non-positive private multiplier; filters are degenerate")
     Pp_bar = cholesky_solve(_plus_identity(B, lam1), V)
-    return np.sqrt(rho * t_star) * Pp_bar / np.linalg.norm(Pp_bar), B, V
+    return math.sqrt(rho * t_star) * Pp_bar / frobenius(Pp_bar), B, V
 
 
 def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
@@ -183,10 +184,10 @@ def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     if lam2 <= 0.0:
         raise ValueError("non-positive common multiplier; filters are degenerate")
     Pc_bar = cholesky_solve(_plus_identity(A, lam2), U)
-    scale = np.linalg.norm(Pc_bar)
+    scale = frobenius(Pc_bar)
     if scale < 1e-12:
         raise CommonCollapse("common precoder direction collapsed")
-    return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
+    return math.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
 
 
 def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
@@ -213,9 +214,10 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
     if d_hi <= 0.0:
         return hi, "high"
     # derivative is strictly increasing in t, so the sign change is unique
+    sqrt = math.sqrt
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
+        if sqrt(rho / (1.0 - mid)) * a - sqrt(rho / mid) * b + c < 0.0:  # deriv(mid), inlined
             lo = mid
         else:
             hi = mid
@@ -284,6 +286,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
     P, t = initialize(H, rho, max(sigma_e2, default=0.0))  # all_bundles rejects an empty list
+    sigma_e2 = np.asarray(sigma_e2, dtype=float)  # once, not in every kernel call
     if force_sdma and t < 1.0:
         P, t = _all_private(P), 1.0
     _check_power(P, rho, "initialization")
@@ -303,9 +306,9 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             except CommonCollapse:
                 flag = "sdma"  # continue as an all-private design
             else:
-                Pc, Pp_cat = Pc / np.linalg.norm(Pc), Pp_cat / np.linalg.norm(Pp_cat)
+                Pc, Pp_cat = Pc / frobenius(Pc), Pp_cat / frobenius(Pp_cat)
                 t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho)
-                Pc, Pp_cat = np.sqrt(rho * (1.0 - t_new)) * Pc, np.sqrt(rho * t_new) * Pp_cat
+                Pc, Pp_cat = math.sqrt(rho * (1.0 - t_new)) * Pc, math.sqrt(rho * t_new) * Pp_cat
             if flag:
                 boundary_hits.append((it, flag))
         P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)

@@ -7,10 +7,13 @@ bisection, Monte Carlo instead of closed forms). Keep it that way: these
 functions are the oracles the tests compare against.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from rsmimo.channels import complex_gaussian
+from rsmimo.rates import checked_real
 
 
 def chordal_distance_svd(X, C):
@@ -188,9 +191,14 @@ def empirical_cdf_sorted(samples, x):
 
 
 def _received_covariances(H, P):
-    """C[k][j] = H_k^H P_j P_j^H H_k, the covariance user k receives from stream j."""
-    K = len(H)
-    return [[H[k].conj().T @ P[j] @ P[j].conj().T @ H[k] for j in range(K)] for k in range(K)]
+    """C[k][j] = H_k^H P_j P_j^H H_k, the covariance user k receives from stream j.
+
+    One broadcast product chain over all (k, j) pairs; every factor has the
+    memory layout of its per-pair form, so each pair's product is the same.
+    """
+    H, P = np.asarray(H), np.asarray(P)
+    Hh, Ph = H.conj().swapaxes(1, 2), P.conj().swapaxes(1, 2)
+    return Hh[:, None] @ P[None] @ Ph[None] @ H[:, None]
 
 
 def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
@@ -203,12 +211,13 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
     K = len(H)
     M, N = H[0].shape
     P = [p.copy() for p in P0]
+    eye_N, eye_M = np.eye(N), np.eye(M)
 
     def sum_rate(C):
         r = 0.0
         for k in range(K):
             R = sum(C[k])
-            noise = R - C[k][k] + sigma_n2 * np.eye(N)
+            noise = R - C[k][k] + sigma_n2 * eye_N
             sig = C[k][k]
             w = scipy.linalg.eigh(sig + noise, noise, eigvals_only=True)
             r += np.sum(np.log2(np.maximum(w, 1.0)))
@@ -219,9 +228,9 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
     for _ in range(iters):
         D, W = [], []
         for k in range(K):
-            R = sum(C[k]) + sigma_n2 * np.eye(N)
+            R = sum(C[k]) + sigma_n2 * eye_N
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
-            Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
+            Mk = eye_N - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
             W.append(np.linalg.inv(0.5 * (Mk + Mk.conj().T)))
         Bmat = sum(H[k] @ D[k].conj().T @ W[k] @ D[k] @ H[k].conj().T for k in range(K))
@@ -233,7 +242,7 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
         row_energy = sum(np.sum(np.abs(U.conj().T @ V) ** 2, axis=1) for V in Vs)
 
         def power(lam):
-            return float(np.sum(row_energy / (ev + lam) ** 2))
+            return float((row_energy / (ev + lam) ** 2).sum())  # the reduction of np.sum, called directly
 
         lo, hi = 0.0, 1.0
         if power(1e-12) <= rho:
@@ -250,7 +259,7 @@ def plain_wmmse(H, rho, sigma_n2, P0, iters=1000, tol=1e-10):
                 else:
                     hi = mid
             lam = 0.5 * (lo + hi)
-        inv = np.linalg.inv(Bmat + lam * np.eye(M))
+        inv = np.linalg.inv(Bmat + lam * eye_M)
         P = [inv @ V for V in Vs]
         C = _received_covariances(H, P)
         cur = sum_rate(C)
@@ -270,13 +279,14 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
     K = len(H)
     M, N = H[0].shape
     P = [p.copy() for p in P0]
+    eye_N, eye_M = np.eye(N), np.eye(M)
 
     def sum_rate(C):
         r = 0.0
         for k in range(K):
-            noise = sum(C[k][j] for j in range(K) if j != k) + sigma_n2 * np.eye(N)
+            noise = sum(C[k][j] for j in range(K) if j != k) + sigma_n2 * eye_N
             sig = C[k][k]
-            r += np.linalg.slogdet(np.eye(N) + np.linalg.inv(noise) @ sig)[1] / np.log(2)
+            r += np.linalg.slogdet(eye_N + np.linalg.inv(noise) @ sig)[1] / np.log(2)
         return float(np.real(r))
 
     C = _received_covariances(H, P)
@@ -284,9 +294,9 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
     for _ in range(iters):
         D, W = [], []
         for k in range(K):
-            R = sum(C[k]) + sigma_n2 * np.eye(N)
+            R = sum(C[k]) + sigma_n2 * eye_N
             Dk = P[k].conj().T @ H[k] @ np.linalg.inv(R)
-            Mk = np.eye(N) - Dk @ H[k].conj().T @ P[k]
+            Mk = eye_N - Dk @ H[k].conj().T @ P[k]
             D.append(Dk)
             W.append(np.linalg.inv(0.5 * (Mk + Mk.conj().T)))
         Bmat = sum(H[k] @ D[k].conj().T @ W[k] @ D[k] @ H[k].conj().T for k in range(K))
@@ -295,7 +305,7 @@ def plain_wmmse_matched(H, rho, sigma_n2, P0, iters=2000, tol=1e-12):
             * sum(np.real(np.trace(W[k] @ D[k] @ D[k].conj().T)) for k in range(K))
             / rho
         )
-        inv = np.linalg.inv(Bmat + lam * np.eye(M))
+        inv = np.linalg.inv(Bmat + lam * eye_M)
         Pn = [inv @ (H[k] @ D[k].conj().T @ W[k]) for k in range(K)]
         power = sum(np.real(np.trace(p @ p.conj().T)) for p in Pn)
         scale = np.sqrt(rho / power)
@@ -459,10 +469,11 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
 
 
 # Frozen kernels. Unlike the oracles above, these follow the package's own
-# numerical route: they are the MSE-bundle kernel and the closed-form block
-# solves as they stood before their numpy calls were trimmed (eager F, G and
-# MMSE error matrices, a symmetrized Gram matrix, diagonal shifts through
-# np.eye). The trimmed kernels must reproduce them bit for bit.
+# numerical route: they are the MSE-bundle kernel, the closed-form block
+# solves and the power-split bisection as they stood before their numpy and
+# Python calls were trimmed (eager F, G and MMSE error matrices, a symmetrized
+# Gram matrix, diagonal shifts through np.eye, the split derivative as a
+# closure). The trimmed kernels must reproduce them bit for bit.
 
 
 def _h(A):
@@ -546,3 +557,33 @@ def frozen_solve_p2(H_hat, sigma_e2, Dc, Wc, Pp_cat, rho, t_star, sigma_n2):
     lam2 = (sigma_n2 * tr_wdd + cross) / (rho * (1.0 - t_star))
     Pc_bar = _cholesky_solve(A + lam2 * np.eye(A.shape[0]), U)
     return np.sqrt(rho * (1.0 - t_star)) * Pc_bar / np.linalg.norm(Pc_bar), A, U
+
+
+def frozen_solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
+    """(t_star, flag) of the power-split bisection, its derivative a closure."""
+    T_CLAMP, BISECT_TOL = 1e-6, 1e-8
+    # tr(U^H Pc), tr(V^H Pp), tr((A + B) Pp Pp^H) and tr(A Pc Pc^H)
+    traces = [np.vdot(U, Pc_norm), np.vdot(V, Pp_norm)]
+    traces += [np.vdot(Pp_norm, (A + B) @ Pp_norm), np.vdot(Pc_norm, A @ Pc_norm)]
+    a, b, quad_p, quad_c = checked_real(traces).tolist()
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("filter/precoder alignment traces must be positive")
+    c = rho * (quad_p - quad_c)
+
+    def deriv(t):
+        return math.sqrt(rho / (1.0 - t)) * a - math.sqrt(rho / t) * b + c
+
+    lo, hi = T_CLAMP, 1.0 - T_CLAMP
+    d_lo, d_hi = deriv(lo), deriv(hi)
+    if d_lo >= 0.0:
+        return lo, "low"
+    if d_hi <= 0.0:
+        return hi, "high"
+    # derivative is strictly increasing in t, so the sign change is unique
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), ""

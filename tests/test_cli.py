@@ -170,6 +170,22 @@ def test_sweep_writes_expected_artifacts(tmp_path, capsys):
     assert {c["scheme"] for c in payload["cells"]} == {"mrt", "rwmmse"}
 
 
+def test_sweep_says_when_a_cell_has_no_draws(tmp_path, capsys, monkeypatch):
+    from rsmimo.baselines import design_precoders as real_design
+
+    def failing_at_0_db(scheme, H_hat, sigma_e2, rho, *args):
+        if scheme == "rwmmse" and rho == 1.0:
+            raise RuntimeError("synthetic failure")
+        return real_design(scheme, H_hat, sigma_e2, rho, *args)
+
+    monkeypatch.setattr("rsmimo.evaluate.design_precoders", failing_at_0_db)
+    # 202 attempts and 1 failure stay under the 1% limit
+    assert run_cli(*sweep_args(tmp_path, "--snr-db", "0:1:100", "--draws", "1")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sigma_e2=0.1 snr_db=0 rwmmse: no draws (0 draws, 1 failed)" in lines
+    assert "nan" not in "\n".join(lines)
+
+
 def test_sweep_format_csv_only(tmp_path):
     assert run_cli(*sweep_args(tmp_path, "--format", "csv")) == 0
     assert (tmp_path / "sweep.csv").is_file()

@@ -162,21 +162,33 @@ def test_mrt_esr_grows_with_snr():
 def test_failures_are_recorded_and_excluded(monkeypatch):
     from rsmimo.baselines import design_precoders as real_design
 
-    def flaky(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg=SolverConfig()):
-        if scheme == "mrt" and flaky.count == 3:
-            flaky.count += 1
-            raise RuntimeError("synthetic failure")
-        if scheme == "mrt":
-            flaky.count += 1
-        return real_design(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg)
+    cases = [
+        (dict(draws=51), "mrt", 3, 10.0, 50),  # 102 attempts, 1 failure < 1%
+        # 202 attempts, 1 failure, and that is the one draw of the 0 dB rwmmse cell
+        (dict(snr_db_grid=tuple(range(101)), draws=1, schemes=("rwmmse", "mrt")), "rwmmse", 0, 0.0, 0),
+    ]
+    for overrides, failing, attempt, snr_db, draws_used in cases:
 
-    flaky.count = 0
-    monkeypatch.setattr("rsmimo.evaluate.design_precoders", flaky)
-    result = run_experiment(small_config(draws=51))  # 102 attempts, 1 failure < 1%
-    assert len(result.failures) == 1
-    assert result.failures[0]["scheme"] == "mrt" and "synthetic" in result.failures[0]["error"]
-    mrt_cell = next(c for c in result.cells if c.scheme == "mrt")
-    assert mrt_cell.draws_used == 50 and mrt_cell.failures == 1
+        def flaky(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg=SolverConfig()):
+            if scheme == failing and flaky.count == attempt:
+                flaky.count += 1
+                raise RuntimeError("synthetic failure")
+            if scheme == failing:
+                flaky.count += 1
+            return real_design(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg)
+
+        flaky.count = 0
+        monkeypatch.setattr("rsmimo.evaluate.design_precoders", flaky)
+        result = run_experiment(small_config(**overrides))
+        assert len(result.failures) == 1
+        assert result.failures[0]["scheme"] == failing and "synthetic" in result.failures[0]["error"]
+        cell = next(c for c in result.cells if c.scheme == failing and c.snr_db == snr_db)
+        assert cell.draws_used == draws_used and cell.failures == 1
+        # a cell without draws has no mean and no spread: null in the JSON,
+        # which a strict parser accepts (NaN is not JSON)
+        payload = json.loads(json_summary(result), parse_constant=pytest.fail)
+        (entry,) = [c for c in payload["cells"] if c["scheme"] == failing and c["snr_db"] == snr_db]
+        assert (entry["esr_bits"] is None, entry["std_err"] is None) == (draws_used == 0,) * 2
 
 
 def test_failure_rate_above_threshold_aborts(monkeypatch):
@@ -223,6 +235,7 @@ def test_quantized_mode_records_effective_variance():
         dict(workers="2"),
         dict(snr_db_grid=(10.0, 4000.0)),  # 10^(snr_db/10) overflows
         dict(snr_db_grid=(-4000.0,)),  # ... or underflows to 0
+        dict(csit="quantized", bits=channels.MAX_CODEBOOK_BITS + 1),  # before any work item runs
     ],
 )
 def test_config_validation(overrides):

@@ -30,6 +30,7 @@ from rsmimo.rates import (
     cholesky_solve,
     expectation_quadratic,
     f1_from_bundles,
+    frobenius,
     instantaneous_rates,
     logsumexp,
     mse_at_filters,
@@ -337,6 +338,20 @@ def test_cholesky_helper_is_bit_equal_to_numpy_linalg(shape):
     assert L.dtype == Li.dtype == np.complex128
     L_only, no_inverse = _cholesky(A, inverse=False)
     assert np.array_equal(L_only, L) and no_inverse is None
+
+
+def test_frobenius_is_bit_equal_to_numpy_linalg_norm():
+    # contiguous stacks and matrices, strided and reversed views, and values
+    # whose squares overflow or underflow
+    rng = make_rng(522)
+    cases = [np.zeros((3, 2), dtype=complex)]
+    for shape in [(4, 8, 6), (8, 16, 12)] * 5:
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cases += [X, X[0], X[0, :, :2], X.transpose(1, 0, 2), X[:, ::2, 1:], X.swapaxes(1, 2)[::-1]]
+        cases += [1e-170 * X, 1e170 * X[0]]
+    with np.errstate(over="ignore"):
+        for x in cases:
+            assert np.float64(frobenius(x)).tobytes() == np.linalg.norm(x).tobytes()
 
 
 def faulty_cholesky_inputs(fault):

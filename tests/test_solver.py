@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 from conftest import make_rng, random_instance, random_precoders
-from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, grid_scan_root, per_user_solver
+from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, frozen_solve_p3, grid_scan_root, per_user_solver
 from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
 from rsmimo.rates import (
     PrecoderSet,
@@ -353,10 +353,34 @@ def test_split_root_boundary_flags():
     Z = np.zeros((6, 6), dtype=complex)
     t_star, flag = solve_p3(1e-12 * X, X, Z, Z, X, X, 25.0)
     assert flag == "high" and t_star == pytest.approx(1.0 - T_CLAMP)
+    assert (t_star, flag) == frozen_solve_p3(1e-12 * X, X, Z, Z, X, X, 25.0)
     t_star, flag = solve_p3(X, 1e-12 * X, Z, Z, X, X, 25.0)
     assert flag == "low" and t_star == pytest.approx(T_CLAMP)
+    assert (t_star, flag) == frozen_solve_p3(X, 1e-12 * X, Z, Z, X, X, 25.0)
     with pytest.raises(ValueError):
         solve_p3(-X, X, Z, Z, X, X, 25.0)
+
+
+def test_split_root_matches_frozen_bisection(monkeypatch):
+    # the bisection with its derivative inlined returns the closure-based
+    # loop's t and flag bit for bit on the iterates run passes it from 0 to
+    # 70 dB (test_split_root_boundary_flags pins the two clamp cases)
+    import rsmimo.solver as solver
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return solve_p3(*args)
+
+    monkeypatch.setattr(solver, "solve_p3", recording)
+    for snr_db in range(0, 71, 10):
+        for M, N, K in ((8, 2, 4), (4, 2, 4), (6, 3, 2)):
+            H_hat, s2 = random_instance(make_rng(600 + snr_db), M, N, K, 0.1)
+            run(H_hat, s2, 10.0 ** (snr_db / 10.0), 1.0)
+    assert len(calls) >= 300  # 384 sweeps reach P3
+    for args in calls:
+        assert solve_p3(*args) == frozen_solve_p3(*args)
 
 
 # ---------------------------------------------------------------- full runs
@@ -625,11 +649,14 @@ LINALG_FUNCTIONS = (
 def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     # a proposed sweep makes 12 linear-algebra calls: one Cholesky and one
     # triangular inverse for each of its two bundles and each of the P1 and
-    # P2 solves, plus four norms; an all-private sweep makes 5 (one bundle
-    # and P1). Initialization adds one SVD, one norm and the first bundles,
-    # and each extrapolated point one bundle (its step makes none). The
-    # factors and inverses come from numpy.linalg's LAPACK gufuncs, called
-    # directly, so the numpy.linalg entry points see only norms and the SVD.
+    # P2 solves, plus four Frobenius norms; an all-private sweep makes 5 (one
+    # bundle and P1). Initialization adds one SVD, one column-norm call and
+    # the first bundles, and each extrapolated point one bundle (its step
+    # makes none). The factors and inverses come from numpy.linalg's LAPACK
+    # gufuncs, called directly, and the sweep's norms from rates.frobenius, so
+    # the numpy.linalg entry points see only initialization's norm and SVD.
+    import rsmimo.solver as solver
+
     calls = Counter()
 
     def count(module, name, key):
@@ -645,15 +672,16 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
         count(np.linalg, name, f"np.linalg.{name}")
     count(_umath_linalg, "cholesky_lo", "cholesky")
     count(_umath_linalg, "inv", "inv")
+    count(solver, "frobenius", "frobenius")
     rng = make_rng(43)
     H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
     state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
     n, e = state.iterations, state.extrapolations
     assert n > 1 and e > 0 and not any(flag == "sdma" for _, flag in state.boundary_hits)
     if force_sdma:
-        expected = {"np.linalg.svd": 1, "np.linalg.norm": 1 + n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
+        expected = {"np.linalg.svd": 1, "np.linalg.norm": 1, "frobenius": n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
     else:
-        expected = {"np.linalg.svd": 1, "np.linalg.norm": 1 + 4 * n, "cholesky": 1 + 4 * n + e, "inv": 1 + 4 * n + e}
+        expected = {"np.linalg.svd": 1, "np.linalg.norm": 1, "frobenius": 4 * n, "cholesky": 1 + 4 * n + e, "inv": 1 + 4 * n + e}
     assert dict(calls) == expected  # so np.linalg.cholesky and np.linalg.inv are never called
     assert sum(calls.values()) == 4 + (5 if force_sdma else 12) * n + 2 * e
 
