@@ -251,6 +251,8 @@ def _cmd_cdf(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selfcheck  # the acceptance battery is loaded by this command only
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = selfcheck.run_all(seed=args.seed, quick=args.quick, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

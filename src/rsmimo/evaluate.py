@@ -65,6 +65,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.draws < 1:
             raise ValueError("draws must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.N < 1 or self.K < 1:
+            raise ValueError(f"N and K must be at least 1, got N={self.N} and K={self.K}")
+        if self.M <= self.N:
+            raise ValueError(f"M must exceed N, got M={self.M} and N={self.N}")
         if not self.snr_db_grid or (self.csit == "estimation" and not self.sigma_e2_grid):
             raise ValueError("SNR and sigma_e2 grids must be non-empty")
         if not all(math.isfinite(v) for v in (*self.snr_db_grid, *self.sigma_e2_grid)):
@@ -107,13 +113,13 @@ class CellSummary:
     scheme: str
     snr_db: float
     sigma_e2: object  # grid value, or None in quantized mode
-    esr_bits: float | None  # None (JSON null) for a cell whose every draw failed
+    esr_bits: float | None  # None (JSON null), like the other means, for a cell whose every draw failed
     std_err: float | None
     draws_used: int
     failures: int
-    boundary_hits: int
-    mean_iterations: float
-    mean_solver_seconds: float
+    boundary_hits: int  # a count: 0 for a cell without draws
+    mean_iterations: float | None
+    mean_solver_seconds: float | None
 
 
 @dataclass(frozen=True)
@@ -272,9 +278,9 @@ def _summarize(cfg: ExperimentConfig, items, outputs):
                         draws_used=int(rates_arr.size),
                         failures=len(fails),
                         boundary_hits=int(sum(r.boundary_hits for r in sel)),
-                        mean_iterations=float(np.mean([r.iterations for r in sel])) if sel else 0.0,
+                        mean_iterations=float(np.mean([r.iterations for r in sel])) if sel else None,
                         mean_solver_seconds=(
-                            float(np.mean([r.solver_seconds for r in sel])) if sel else 0.0
+                            float(np.mean([r.solver_seconds for r in sel])) if sel else None
                         ),
                     )
                 )

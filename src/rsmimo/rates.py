@@ -19,6 +19,13 @@ is D = S^H F^-1 = L21 Lam11, log det M = 2 sum log diag L22, and
 M^-1 = Lam22^H Lam22. Z is positive definite exactly when F and M are, so a
 non-definite system still raises LinAlgError. A bundle stores D, the log-dets
 and M^-1, which the solver reads, and L22, from which M is derived when read.
+
+A bundle factors only the streams its reader uses. At all-private precoders
+(Pc exactly zero) S = 0 for every common stream, so its fields are exact
+constants (D = 0, log det M = 0, M^-1 = L22 = I) and only the private systems
+are factored. A common-only bundle (all_bundles(..., private=False), which
+feeds the common block alone) factors only the common systems and holds None
+for every private field.
 """
 
 from __future__ import annotations
@@ -73,7 +80,8 @@ class _PerUser:
         return len(getattr(self, fields(self)[0].name))
 
     def __getitem__(self, k):
-        return type(self)(*(getattr(self, f.name)[k] for f in fields(self)))
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self)(*(None if v is None else v[k] for v in values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +91,10 @@ class MseBundle(_PerUser):
 
     Stored: what the solver reads and the factor blocks L22c, L22p. Derived
     when read: the common- and private-stream MMSE error matrices Mc_mmse and
-    Mp_mmse.
+    Mp_mmse. In an all-private bundle the common fields are shared read-only
+    constants (Dc = 0, logdet_c = 0, Mc_inv = L22c = I); in a common-only
+    bundle the private fields Dp, logdet_p, Mp_inv and L22p are None, and
+    indexing passes them through as None.
     """
 
     Dc: np.ndarray
@@ -231,42 +242,68 @@ def _selector_rows(N, K):
     return Y
 
 
-def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> MseBundle:
+@lru_cache(maxsize=64)
+def _zero_common(N, K):
+    """The common fields (Dc, logdet_c, Mc_inv, L22c) of every user at Pc = 0; read-only.
+
+    With no common signal, S = 0 and Z = [[F, 0], [0, I]], so the factor gives
+    D = 0, log det M = 0 and M^-1 = L22 = I exactly, whatever F is.
+    """
+    eye = np.broadcast_to(np.eye(N, dtype=complex), (K, N, N)).copy()
+    out = (np.zeros((K, N, N), dtype=complex), np.zeros(K), eye, eye)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseBundle:
     """MMSE bundles of every user, stacked over users; user k decodes private stream k.
 
     F folds the full transmit power times the CSIT error variance into the
     common-stream noise floor; G is the private-only counterpart valid after
     common-stream removal.
+
+    Only the streams a caller reads are factored. An all-private P (Pc exactly
+    zero) factors the K private systems; its common fields are the exact
+    constants of `_zero_common`, shared and read-only. private=False factors
+    the K common systems and leaves the private fields None.
     """
     Hh = _h(np.asarray(H_hat))                               # (K, N, M)
     K, N, _ = Hh.shape
     s2 = np.asarray(sigma_e2, dtype=float)
     if len(P.Pp) != K or s2.shape != (K,):
         raise ValueError(f"{K} channels, {len(P.Pp)} private precoders and {s2.size} error variances disagree")
+    common = not private or np.count_nonzero(P.Pc) > 0
+    c = K if common else 0                                   # common systems in the stack
     Pfull = P.full()
     Sfull = Hh @ Pfull                                       # (K, N, N(K+1))
     # Z = [[F, S], [S^H, I]] of the common (F, Sc) and the private (G, Sp)
     # stream of every user, stacked (2K, 2N, 2N), is the Gram matrix of
     # Y = [[R], [E^H]] plus the noise floor on F and G. R holds the columns
     # the stream receives (all of Sfull for F, its private ones for G) and E
-    # picks the stream's own columns, so R E = S and E^H E = I exactly.
-    Y = _selector_rows(N, K).copy()
-    Y[:K, :N] = Sfull
-    Y[K:, :N, N:] = Sfull[:, :, N:]
+    # picks the stream's own columns, so R E = S and E^H E = I exactly. Y
+    # keeps its full width for either half alone, which keeps the bits.
+    Y = _selector_rows(N, K)[K - c:K + K * private].copy()
+    floors = []  # error-variance floors of F, then of G
+    if common:
+        Y[:K, :N] = Sfull
+        floors.append(s2 * float(np.vdot(Pfull, Pfull).real))
+    if private:
+        Y[c:, :N, N:] = Sfull[:, :, N:]
+        floors.append(s2 * float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real))
+    floor = (np.concatenate(floors) if len(floors) == 2 else floors[0]) + sigma_n2
     # not symmetrized: the Cholesky reads the lower triangle and real diagonal,
     # where numpy's product already equals its Hermitian part
     Z = Y @ _h(Y)
-    tr_full = float(np.vdot(Pfull, Pfull).real)
-    tr_priv = float(np.vdot(Pfull[:, N:], Pfull[:, N:]).real)
-    floor = np.concatenate([s2 * tr_full, s2 * tr_priv]) + sigma_n2
     np.einsum("kii->ki", Z[:, :N, :N])[...] += floor[:, None]
     L, Li = _cholesky(Z)
     L22, Li22 = L[:, N:, N:], Li[:, N:, N:]
     D = L[:, N:, :N] @ Li[:, :N, :N]
     Mi = herm(_h(Li22) @ Li22)
     ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-    return MseBundle(D[:K], D[K:], logdet_c=ld[:K], logdet_p=ld[K:], Mc_inv=Mi[:K], Mp_inv=Mi[K:],
-                     L22c=L22[:K], L22p=L22[K:])
+    Dc, ldc, Mic, L22c = (D[:c], ld[:c], Mi[:c], L22[:c]) if common else _zero_common(N, K)
+    Dp, ldp, Mip, L22p = (D[c:], ld[c:], Mi[c:], L22[c:]) if private else (None,) * 4
+    return MseBundle(Dc, Dp, logdet_c=ldc, logdet_p=ldp, Mc_inv=Mic, Mp_inv=Mip, L22c=L22c, L22p=L22p)
 
 
 def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:

@@ -300,7 +300,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         Pc, t_new, flag = np.zeros_like(P_s.Pc), 1.0, ""
         if t_s < 1.0:
             P_mid = PrecoderSet(Pc=P_s.Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
-            mid = all_bundles(H, sigma_e2, P_mid, sigma_n2)
+            mid = all_bundles(H, sigma_e2, P_mid, sigma_n2, private=False)  # P2 reads Dc, Wc only
             try:
                 Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t_s, sigma_n2)
             except CommonCollapse:

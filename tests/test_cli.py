@@ -89,6 +89,10 @@ def test_help_and_usage_exit_codes(capsys):
         ("converge", "--schemes", "mrt", "--draws", "1", "--snr-db", "20"),  # nothing to trace
         ("sweep", "--schemes", "proposed,mrt,proposed", "--draws", "3"),  # a scheme named twice
         ("sweep", "--snr-db", "4000", "--draws", "1", "--schemes", "mrt"),  # rho overflows
+        ("sweep", "--seed", "-1"),  # rejected before any work item runs
+        ("sweep", "--m", "2", "--n", "2"),
+        ("sweep", "--k", "0"),
+        ("sweep", "--n", "0"),
     ],
 )
 def test_invalid_usage_exits_2(argv, tmp_path, capsys):
@@ -102,6 +106,28 @@ def test_invalid_usage_exits_2(argv, tmp_path, capsys):
         argv += ["--out-dir", str(tmp_path)]
     assert run_cli(*argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("sweep", "--seed", "-1"), "seed must be non-negative, got -1"),
+        (("sweep", "--m", "2", "--n", "2"), "M must exceed N, got M=2 and N=2"),
+        (("sweep", "--k", "0"), "N and K must be at least 1, got N=2 and K=0"),
+        (("cdf", "--n", "0"), "N and K must be at least 1, got N=0 and K=4"),
+        (("selftest", "--seed", "-1"), "--seed must be non-negative, got -1"),
+    ],
+)
+def test_seed_and_dimensions_are_named_before_any_work_runs(argv, named, monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        pytest.fail("a work item or check ran")
+
+    monkeypatch.setattr("rsmimo.evaluate.design_precoders", no_work)
+    monkeypatch.setattr("rsmimo.evaluate.draw_channels", no_work)
+    monkeypatch.setattr("rsmimo.selfcheck.run_all", no_work)
+    argv = list(argv) + ([] if argv[0] == "selftest" else ["--out-dir", str(tmp_path)])
+    assert run_cli(*argv) == 2
+    assert f"error: {named}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(monkeypatch, tmp_path, capsys):

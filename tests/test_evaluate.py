@@ -189,6 +189,10 @@ def test_failures_are_recorded_and_excluded(monkeypatch):
         payload = json.loads(json_summary(result), parse_constant=pytest.fail)
         (entry,) = [c for c in payload["cells"] if c["scheme"] == failing and c["snr_db"] == snr_db]
         assert (entry["esr_bits"] is None, entry["std_err"] is None) == (draws_used == 0,) * 2
+        # and no mean iteration count or solver time either; boundary_hits stays a count
+        means = (entry["mean_iterations"], entry["mean_solver_seconds"])
+        assert tuple(v is None for v in means) == (draws_used == 0,) * 2
+        assert type(entry["boundary_hits"]) is int
 
 
 def test_failure_rate_above_threshold_aborts(monkeypatch):
@@ -236,6 +240,11 @@ def test_quantized_mode_records_effective_variance():
         dict(snr_db_grid=(10.0, 4000.0)),  # 10^(snr_db/10) overflows
         dict(snr_db_grid=(-4000.0,)),  # ... or underflows to 0
         dict(csit="quantized", bits=channels.MAX_CODEBOOK_BITS + 1),  # before any work item runs
+        dict(seed=-1),  # the seeds, dimensions and counts too
+        dict(M=1),  # M = N
+        dict(M=4, N=5),
+        dict(N=0),
+        dict(K=0),
     ],
 )
 def test_config_validation(overrides):

@@ -267,7 +267,9 @@ def test_bundles_match_frozen_kernel(M, N, K):
     # the trimmed kernel (cached selector rows, no symmetrization of the Gram
     # matrix, in-place noise floor, derived MMSE matrices) is bit-equal to the
     # eager one on every field the bundle has (all the reference's but F and
-    # G), stacked and per user
+    # G), stacked and per user; at t = 1 the common fields are the all-private
+    # constants. The common-only call matches on the common fields and leaves
+    # the private ones None.
     for snr_db in range(0, 71, 10):
         rho = 10.0 ** (snr_db / 10.0)
         for s2 in (0.0, 0.1, 0.99):
@@ -281,6 +283,50 @@ def test_bundles_match_frozen_kernel(M, N, K):
                 for k in range(K):
                     bk = mse_bundle(H_hat[k], sig[k], P, 1.0, k)
                     assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in ref)
+                mid = all_bundles(H_hat, sig, P, 1.0, private=False)
+                common = [name for name in ref if name in COMMON_FIELDS]
+                assert len(common) == 4
+                assert all(np.array_equal(getattr(mid, name), ref[name]) for name in common)
+                assert all(getattr(mid, name) is None for name in PRIVATE_FIELDS)
+                for k in range(K):
+                    assert all(np.array_equal(getattr(mid[k], name), ref[name][k]) for name in common)
+                    assert all(getattr(mid[k], name) is None for name in PRIVATE_FIELDS)
+
+
+COMMON_FIELDS = ("Dc", "logdet_c", "Mc_inv", "Mc_mmse")
+PRIVATE_FIELDS = ("Dp", "logdet_p", "Mp_inv", "L22p")
+
+
+def test_all_private_common_fields_are_shared_read_only_constants():
+    # at Pc = 0 the common fields are exact (D = 0, log det M = 0, M^-1 =
+    # L22 = I) and come from one cache per (N, K), which no caller may write
+    rng = make_rng(513)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    P = random_precoders(rng, 6, 2, 3, rho=10.0, t=1.0)
+    b, again = all_bundles(H_hat, s2, P, 1.0), all_bundles(H_hat, s2, P, 2.0)
+    eye = np.broadcast_to(np.eye(2), (3, 2, 2))
+    for name, value in (("Dc", 0.0 * eye), ("logdet_c", np.zeros(3)), ("Mc_inv", eye), ("L22c", eye)):
+        field = getattr(b, name)
+        assert field is getattr(again, name) and np.array_equal(field, value)
+        assert not field.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field[...] = 1.0
+    assert b.Dp.flags.writeable
+
+
+def test_common_only_bundles_and_weights_iterate_per_user():
+    # a replay of the solver's mid bundle reads [b.Dc for b in mid] and
+    # [w.Wc for w in weights(mid)]; the private fields pass through as None
+    rng = make_rng(514)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    mid = all_bundles(H_hat, s2, random_precoders(rng, 6, 2, 3, rho=10.0), 1.0, private=False)
+    w = weights(mid)
+    assert mid.Mp_inv is None and w.Wp is None
+    per_user = list(zip(mid, w))
+    assert len(per_user) == 3
+    for k, (b, wk) in enumerate(per_user):
+        assert np.array_equal(b.Dc, mid.Dc[k]) and np.array_equal(wk.Wc, w.Wc[k])
+        assert b.Dp is None and b.L22p is None and wk.Wp is None
 
 
 def test_bundles_reject_mismatched_counts():
@@ -294,12 +340,16 @@ def test_bundles_reject_mismatched_counts():
 
 
 def test_bundles_raise_on_non_definite_covariance():
-    # a negative noise power large enough to make F and G indefinite
+    # a negative noise power large enough to make F and G indefinite, also
+    # when only the private (all-private precoders) or only the common
+    # systems (private=False) are factored
     rng = make_rng(510)
     H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
     P = random_precoders(rng, 6, 2, 3, rho=10.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        all_bundles(H_hat, s2, P, -1e4)
+    P_private = random_precoders(rng, 6, 2, 3, rho=10.0, t=1.0)
+    for precoders, kwargs in ((P, {}), (P_private, {}), (P, {"private": False})):
+        with pytest.raises(np.linalg.LinAlgError):
+            all_bundles(H_hat, s2, precoders, -1e4, **kwargs)
 
 
 def test_bundles_raise_on_non_definite_error_matrix():

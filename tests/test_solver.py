@@ -1,7 +1,10 @@
 # Solver tests: initialization, per-block closed forms, power split, full runs.
 from __future__ import annotations
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,9 +522,9 @@ def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
     # and one more at each extrapolated point
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return all_bundles(*args)
+        return all_bundles(*args, **kwargs)
 
     monkeypatch.setattr("rsmimo.solver.all_bundles", counting)
     rng = make_rng(39)
@@ -692,9 +695,9 @@ def test_run_names_the_iteration_of_a_non_definite_system(monkeypatch):
     # it as a RuntimeError naming the iteration
     calls = []
 
-    def breaking(H_hat, sigma_e2, P, sigma_n2):
+    def breaking(H_hat, sigma_e2, P, sigma_n2, **kwargs):
         calls.append(1)
-        return all_bundles(H_hat, sigma_e2, P, sigma_n2 if len(calls) == 1 else -1e4)
+        return all_bundles(H_hat, sigma_e2, P, sigma_n2 if len(calls) == 1 else -1e4, **kwargs)
 
     monkeypatch.setattr("rsmimo.solver.all_bundles", breaking)
     rng = make_rng(44)
@@ -757,3 +760,19 @@ def test_block_solves_match_frozen_kernels(M, N, K):
                 out = solve_p2(H_hat, sig, b.Dc, w.Wc, out[0], rho, 0.5, 1.0)
                 ref = frozen_solve_p2(H_hat, sig, b.Dc, w.Wc, ref[0], rho, 0.5, 1.0)
                 assert all(np.array_equal(x, y) for x, y in zip(out, ref))
+
+
+def test_paired_designs_script_compares_a_tree_with_itself():
+    # the paired timing script loads the package from two checkouts into one
+    # process; with this tree on both sides every state must be byte-equal
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, str(tests / "paired_designs.py"), str(tests.parent), "--draws", "2", "--reps", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:]}
+    assert set(rows) == {"proposed", "rwmmse"}
+    for scheme, (_, ratio, faster, identical, count) in rows.items():
+        assert 0.0 < float(ratio) < float("inf") and faster.endswith("%")
+        assert (identical, count) == ("yes", "(2/2)")
