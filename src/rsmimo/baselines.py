@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rates import PrecoderSet
-from .solver import SolverConfig, SolverState, run
+from .solver import SolverConfig, run
 
 
 def mrt_precoder(H_hat, rho) -> PrecoderSet:
@@ -18,20 +18,18 @@ def mrt_precoder(H_hat, rho) -> PrecoderSet:
     return PrecoderSet(Pc=np.zeros(H.shape[1:], dtype=complex), Pp=Pp, rho=float(rho))
 
 
-def rwmmse_precoder(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig()) -> SolverState:
-    """Robust weighted-MMSE design without the common stream (all power private)."""
-    return run(H_hat, sigma_e2, rho, sigma_n2, cfg, force_sdma=True)
-
-
 SCHEMES = ("proposed", "rwmmse", "mrt")
 
 
 def design_precoders(scheme, H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig()):
-    """Dispatch by scheme name; returns (PrecoderSet, iterations, t, boundary_hits)."""
+    """Dispatch by scheme name; returns (PrecoderSet, iterations, t, boundary_hits).
+
+    rwmmse is the robust weighted-MMSE design without the common stream: the
+    proposed solver started all-private.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'; choose from {sorted(SCHEMES)}")
     if scheme == "mrt":
         return mrt_precoder(H_hat, rho), 0, 1.0, 0
-    design = rwmmse_precoder if scheme == "rwmmse" else run
-    st = design(H_hat, sigma_e2, rho, sigma_n2, cfg)
+    st = run(H_hat, sigma_e2, rho, sigma_n2, cfg, force_sdma=scheme == "rwmmse")
     return st.P, st.iterations, st.t, len(st.boundary_hits)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -57,12 +58,18 @@ def complex_gaussian(rng: np.random.Generator, shape, var=1.0):
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def as_int(name, value) -> int:
+    """value as an int, numpy integers included; a bool or a non-integer raises
+    a ValueError naming the field."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _check_dims(M, N, K=1):
-    if not (isinstance(M, int) and isinstance(N, int) and isinstance(K, int)):
-        raise ValueError("M, N, K must be integers")
-    if not M > N >= 1:
+    if not as_int("M", M) > as_int("N", N) >= 1:
         raise ValueError(f"need M > N >= 1, got M={M}, N={N}")
-    if K < 1:
+    if as_int("K", K) < 1:
         raise ValueError(f"need K >= 1, got K={K}")
 
 
@@ -137,6 +144,7 @@ def random_codebook(M, N, bits, rng) -> Codebook:
     to zero, so the semi-unitary check names its codeword.
     """
     _check_dims(M, N)
+    bits = as_int("bits", bits)
     if not (1 <= bits <= MAX_CODEBOOK_BITS):
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
     # the stream of one complex_gaussian(rng, (M, N)) per codeword: real parts,

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import SCHEMES
 from .evaluate import (
+    CSIT_MODES,
     SIGMA_N2,
     ExperimentConfig,
     csv_text,
@@ -28,24 +30,24 @@ DEFAULTS = {
     "snr_db": "0:5:40",
     "sigma_e2": "0.1",
     "draws": 200,
-    "schemes": "proposed,rwmmse,mrt",
+    "schemes": ",".join(SCHEMES),
     "seed": 7,
     "max_iters": SolverConfig.max_iters,
     "obj_tol": SolverConfig.obj_tol,
     "out_dir": ".",
     "format": "both",
-    "csit": "estimation",
-    "bits": 0,
-    "workers": 1,
-    "timing": True,
+    "csit": ExperimentConfig.csit,
+    "bits": ExperimentConfig.bits,
+    "workers": ExperimentConfig.workers,
+    "timing": ExperimentConfig.timing,
 }
-CHOICES = {"format": ("csv", "json", "both"), "csit": ("estimation", "quantized")}
+CHOICES = {"format": ("csv", "json", "both"), "csit": CSIT_MODES}
 # a config file may give these as JSON lists whose elements have these types
 LIST_ELEMENTS = {"snr_db": (int, float), "sigma_e2": (int, float), "schemes": (str,)}
 HELP = {
     "snr_db": "grid: start:step:stop or comma list",
     "sigma_e2": "grid: start:step:stop or comma list",
-    "schemes": "comma list from: proposed, rwmmse, mrt",
+    "schemes": "comma list from: " + ", ".join(SCHEMES),
     "timing": "write zeros in the solver_seconds column for byte-reproducible output",
 }
 
@@ -151,10 +153,19 @@ def _experiment_config(res) -> ExperimentConfig:
     )
 
 
-def _point_config(res) -> ExperimentConfig:
-    """The experiment config at the first point of the SNR and sigma_e2 grids."""
-    point = {key: parse_grid(res[key])[:1] for key in ("snr_db", "sigma_e2")}
-    return _experiment_config({**res, **point})
+def _one_point(res, command):
+    """The experiment config of a one-point command and its (snr_db, sigma_e2).
+
+    The config is built and checked as sweep's is. Then a grid of more than
+    one value raises a ValueError naming the command, the flag and the count;
+    quantized mode ignores the sigma_e2 grid, and its sigma_e2 is None.
+    """
+    cfg = _experiment_config(res)
+    sigma_e2 = cfg.sigma_e2_grid if cfg.csit == "estimation" else (None,)
+    for flag, grid in (("--snr-db", cfg.snr_db_grid), ("--sigma-e2", sigma_e2)):
+        if len(grid) != 1:
+            raise ValueError(f"{command} runs at one operating point; {flag} holds {len(grid)} values")
+    return cfg, cfg.snr_db_grid[0], sigma_e2[0]
 
 
 def _write(out: Path, fmt: str, texts: dict):
@@ -180,10 +191,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_converge(args) -> int:
     res = _resolve(args)
-    cfg = _point_config(res)
+    cfg, snr, sigma_e2 = _one_point(res, "converge")
     if "proposed" not in cfg.schemes:
         raise ValueError("converge traces the proposed design; --schemes must include proposed")
-    snr = cfg.snr_db_grid[0]
     traces = []
     iters = []
     for draw in range(cfg.draws):
@@ -193,7 +203,7 @@ def _cmd_converge(args) -> int:
         iters.append(st.iterations)
     payload = {
         "snr_db": snr,
-        "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
+        "sigma_e2": sigma_e2,
         "seed": cfg.seed,
         "version": version_string(),
         "iterations": iters,
@@ -216,7 +226,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_cdf(args) -> int:
     res = _resolve(args)
-    cfg = _point_config(res)
+    cfg, snr, sigma_e2 = _one_point(res, "cdf")
     result = run_experiment(cfg)
     lines = ["scheme,sum_rate_bits,prob"]
     summary = {}
@@ -235,8 +245,8 @@ def _cmd_cdf(args) -> int:
             f"10-90% [{summary[scheme]['p10']:.3f}, {summary[scheme]['p90']:.3f}]"
         )
     payload = {
-        "snr_db": cfg.snr_db_grid[0],
-        "sigma_e2": cfg.sigma_e2_grid[0] if cfg.csit == "estimation" else None,
+        "snr_db": snr,
+        "sigma_e2": sigma_e2,
         "version": version_string(),
         "summary": summary,
     }
@@ -253,6 +263,8 @@ def _cmd_selftest(args) -> int:
 
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     results = selfcheck.run_all(seed=args.seed, quick=args.quick, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -23,6 +22,7 @@ from .rates import instantaneous_rates
 from .solver import SolverConfig, initial_split
 
 SIGMA_N2 = 1.0  # noise power is the reference level; SNR sets rho directly
+CSIT_MODES = ("estimation", "quantized")
 
 # the sweep CSV's columns, in order, with the format spec of each value
 CSV_FORMAT = {
@@ -57,10 +57,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("M", "N", "K", "draws", "seed", "bits", "workers"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, channels.as_int(name, getattr(self, name)))
         for name in ("snr_db_grid", "sigma_e2_grid"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.draws < 1:
@@ -86,8 +83,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown scheme '{s}'; choose from {SCHEMES}")
             if s in self.schemes[:i]:
                 raise ValueError(f"scheme '{s}' is named more than once")
-        if self.csit not in ("estimation", "quantized"):
-            raise ValueError(f"csit mode must be 'estimation' or 'quantized', got '{self.csit}'")
+        if self.csit not in CSIT_MODES:
+            raise ValueError(f"csit mode must be one of {CSIT_MODES}, got '{self.csit}'")
         if self.csit == "quantized" and not 1 <= self.bits <= channels.MAX_CODEBOOK_BITS:
             raise ValueError(f"quantized CSIT requires bits in [1, {channels.MAX_CODEBOOK_BITS}], got {self.bits}")
         if self.workers < 1:

@@ -23,9 +23,11 @@ and M^-1, which the solver reads, and L22, from which M is derived when read.
 A bundle factors only the streams its reader uses. At all-private precoders
 (Pc exactly zero) S = 0 for every common stream, so its fields are exact
 constants (D = 0, log det M = 0, M^-1 = L22 = I) and only the private systems
-are factored. A common-only bundle (all_bundles(..., private=False), which
-feeds the common block alone) factors only the common systems and holds None
-for every private field.
+are factored. One read-only cache per (N, K) holds these constants and the
+constant rows of the kernel's stacked system, shared by every call. A
+common-only bundle (all_bundles(..., private=False), which feeds the common
+block alone) factors only the common systems and holds None for every
+private field.
 """
 
 from __future__ import annotations
@@ -232,25 +234,20 @@ def expectation_quadratic(variances, X):
 
 
 @lru_cache(maxsize=64)
-def _selector_rows(N, K):
-    """all_bundles' Y with only its constant rows E^H filled in; read-only."""
+def _constants(N, K):
+    """all_bundles' constants for N x N streams and K users, shared and read-only.
+
+    Returns (Y, Dc, logdet_c, Mc_inv, L22c): Y with only its constant rows
+    E^H filled in, then the common fields of every user at Pc = 0. With no
+    common signal, S = 0 and Z = [[F, 0], [0, I]], so the factor gives D = 0,
+    log det M = 0 and M^-1 = L22 = I exactly, whatever F is.
+    """
     pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
     Y = np.zeros((2 * K, 2 * N, N * (K + 1)), dtype=complex)
     Y[:K, N:] = pick[0]
     Y[K:, N:] = pick[1:]
-    Y.flags.writeable = False
-    return Y
-
-
-@lru_cache(maxsize=64)
-def _zero_common(N, K):
-    """The common fields (Dc, logdet_c, Mc_inv, L22c) of every user at Pc = 0; read-only.
-
-    With no common signal, S = 0 and Z = [[F, 0], [0, I]], so the factor gives
-    D = 0, log det M = 0 and M^-1 = L22 = I exactly, whatever F is.
-    """
     eye = np.broadcast_to(np.eye(N, dtype=complex), (K, N, N)).copy()
-    out = (np.zeros((K, N, N), dtype=complex), np.zeros(K), eye, eye)
+    out = (Y, np.zeros((K, N, N), dtype=complex), np.zeros(K), eye, eye)
     for a in out:
         a.flags.writeable = False
     return out
@@ -265,7 +262,7 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
 
     Only the streams a caller reads are factored. An all-private P (Pc exactly
     zero) factors the K private systems; its common fields are the exact
-    constants of `_zero_common`, shared and read-only. private=False factors
+    constants of `_constants`, shared and read-only. private=False factors
     the K common systems and leaves the private fields None.
     """
     Hh = _h(np.asarray(H_hat))                               # (K, N, M)
@@ -283,7 +280,8 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     # the stream receives (all of Sfull for F, its private ones for G) and E
     # picks the stream's own columns, so R E = S and E^H E = I exactly. Y
     # keeps its full width for either half alone, which keeps the bits.
-    Y = _selector_rows(N, K)[K - c:K + K * private].copy()
+    Y, *zero_common = _constants(N, K)
+    Y = Y[K - c:K + K * private].copy()
     floors = []  # error-variance floors of F, then of G
     if common:
         Y[:K, :N] = Sfull
@@ -301,7 +299,7 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     D = L[:, N:, :N] @ Li[:, :N, :N]
     Mi = herm(_h(Li22) @ Li22)
     ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-    Dc, ldc, Mic, L22c = (D[:c], ld[:c], Mi[:c], L22[:c]) if common else _zero_common(N, K)
+    Dc, ldc, Mic, L22c = (D[:c], ld[:c], Mi[:c], L22[:c]) if common else zero_common
     Dp, ldp, Mip, L22p = (D[c:], ld[c:], Mi[c:], L22[c:]) if private else (None,) * 4
     return MseBundle(Dc, Dp, logdet_c=ldc, logdet_p=ldp, Mc_inv=Mic, Mp_inv=Mip, L22c=L22c, L22p=L22p)
 

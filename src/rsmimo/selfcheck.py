@@ -1,7 +1,7 @@
 """Built-in verification suite: numerical identities, descent, and harness checks.
 
 Each check is a pure function of its seed and sizes, returning a CheckResult;
-run_all executes the whole battery and reports one pass/fail line per check.
+run_all executes the whole battery and prints one pass/fail line per check.
 """
 
 from __future__ import annotations
@@ -416,8 +416,8 @@ def check_determinism(seed=9) -> CheckResult:
     )
 
 
-def run_all(seed=0, quick=False, report=print, workers=1):
-    """Execute the full battery; one line per check through the report callback."""
+def run_all(seed=0, quick=False, workers=1):
+    """Execute the full battery and print one pass/fail line per check."""
     sizes = {
         "instances": 200 if quick else 1000,
         "mc_draws": 50_000 if quick else 200_000,
@@ -443,5 +443,5 @@ def run_all(seed=0, quick=False, report=print, workers=1):
         check_determinism(seed + 9),
     ]
     for r in results:
-        report(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24} {r.detail}  [{r.seconds:.1f}s]")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24} {r.detail}  [{r.seconds:.1f}s]")
     return results

@@ -14,11 +14,11 @@ per-user lists as well as stacks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import as_int
 from .rates import (
     PrecoderSet,
     all_bundles,
@@ -41,10 +41,7 @@ class SolverConfig:
     obj_tol: float = 1e-4
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
+        object.__setattr__(self, "max_iters", as_int("max_iters", self.max_iters))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (0.0 < self.obj_tol < 1e-1):

@@ -60,9 +60,8 @@ def fingerprint(state):
 
 def design(baselines, scheme, H_hat, sigma_e2, rho):
     """One design and its CPU seconds."""
-    fn = baselines.rwmmse_precoder if scheme == "rwmmse" else baselines.run
     t0 = time.process_time()
-    state = fn(H_hat, sigma_e2, rho, SIGMA_N2)
+    state = baselines.run(H_hat, sigma_e2, rho, SIGMA_N2, force_sdma=scheme == "rwmmse")
     return state, time.process_time() - t0
 
 

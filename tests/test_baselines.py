@@ -11,10 +11,9 @@ from rsmimo.baselines import (
     SCHEMES,
     design_precoders,
     mrt_precoder,
-    rwmmse_precoder,
 )
 from rsmimo.rates import instantaneous_rates
-from rsmimo.solver import SolverConfig
+from rsmimo.solver import SolverConfig, run
 
 
 def test_registry_names():
@@ -50,7 +49,7 @@ def test_mrt_rejects_zero_channel():
 def test_rwmmse_is_all_private_and_descending():
     rng = make_rng(42)
     H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
-    st = rwmmse_precoder(H_hat, s2, 50.0, 1.0, SolverConfig(max_iters=100))
+    st = run(H_hat, s2, 50.0, 1.0, SolverConfig(max_iters=100), force_sdma=True)
     assert np.all(st.P.Pc == 0.0) and st.t == 1.0
     assert np.all(np.diff(st.objective_trace) <= 0.0)
     assert abs(st.P.power() - 50.0) <= 1e-9 * 50.0
@@ -62,7 +61,7 @@ def test_rwmmse_matches_independent_wmmse_perfect_csit():
     cfg = SolverConfig(max_iters=3000, obj_tol=1e-9)
     for trial in range(6):
         H, _ = random_instance(rng, 8, 2, 4, 0.0)
-        st = rwmmse_precoder(H, [0.0] * 4, 100.0, 1.0, cfg)
+        st = run(H, [0.0] * 4, 100.0, 1.0, cfg, force_sdma=True)
         P0 = [np.sqrt(100.0 / (4 * 2)) * Hk / np.linalg.norm(Hk, axis=0) for Hk in H]
         P_exact, _ = plain_wmmse(H, 100.0, 1.0, P0, iters=5000, tol=1e-13)
         P_matched, _ = plain_wmmse_matched(H, 100.0, 1.0, P0, iters=5000, tol=1e-13)
@@ -82,7 +81,7 @@ def test_rwmmse_single_user_matches_exact_multiplier_wmmse():
     cfg = SolverConfig(max_iters=3000, obj_tol=1e-9)
     for trial in range(4):
         H, _ = random_instance(rng, 4, 2, 1, 0.0)
-        st = rwmmse_precoder(H, [0.0], 100.0, 1.0, cfg)
+        st = run(H, [0.0], 100.0, 1.0, cfg, force_sdma=True)
         P0 = [np.sqrt(100.0 / 2) * H[0] / np.linalg.norm(H[0], axis=0)]
         P_ref, _ = plain_wmmse(H, 100.0, 1.0, P0, iters=5000, tol=1e-13)
         _, _, sr = instantaneous_rates(H, st.P, 1.0)

@@ -69,11 +69,26 @@ def test_estimation_channel_entry_variances():
         (4, 2, 2, [0.1]),  # wrong list length
         (4, 2, 1, [1.0]),  # variance at the upper boundary
         (4, 2, 1, [-0.1]),  # negative variance
+        (4, 2, True, [0.1]),  # a bool is not a count
     ],
 )
 def test_estimation_channel_rejects_bad_inputs(M, N, K, s2):
     with pytest.raises(ValueError):
         sample_estimation_channel(M, N, K, s2, np.random.default_rng(0))
+
+
+def test_numpy_integer_dimensions_are_accepted():
+    # the same draws as with Python ints; a bool or a float count is named
+    i8 = np.int64
+    a = sample_estimation_channel(i8(4), i8(2), i8(3), [0.1] * 3, np.random.default_rng(5))
+    b = sample_estimation_channel(4, 2, 3, [0.1] * 3, np.random.default_rng(5))
+    assert all(np.array_equal(x, y) for x, y in zip(a.H + a.H_hat, b.H + b.H_hat))
+    cb = random_codebook(i8(6), i8(2), i8(3), np.random.default_rng(6))
+    assert type(cb.bits) is int
+    assert np.array_equal(cb.entries, random_codebook(6, 2, 3, np.random.default_rng(6)).entries)
+    for args, name in (((4, True, 1), "N"), ((4.0, 2, 1), "M"), ((4, 2, 1.0), "K")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_estimation_channel(*args, [0.1] * 1, np.random.default_rng(0))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -210,7 +225,7 @@ def test_random_codebook_names_a_rank_deficient_draw(plant):
     assert len(random_codebook(6, 3, 3, _PlantedStream(z)).entries) == 8
 
 
-@pytest.mark.parametrize("bits", [0, 15])
+@pytest.mark.parametrize("bits", [0, 15, True])  # a bool is not a count
 def test_random_codebook_rejects_bad_bits(bits):
     with pytest.raises(ValueError):
         random_codebook(6, 2, bits, np.random.default_rng(0))

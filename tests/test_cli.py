@@ -93,16 +93,25 @@ def test_help_and_usage_exit_codes(capsys):
         ("sweep", "--m", "2", "--n", "2"),
         ("sweep", "--k", "0"),
         ("sweep", "--n", "0"),
+        ("selftest", "--seed", "-1"),  # selftest takes no --out-dir
+        ("selftest", "--workers", "0"),
+        ("converge", "--snr-db", "0:10:20"),  # converge and cdf run at one point
+        ("cdf", "--sigma-e2", "0.1,0.2"),
+        ("converge",),  # the default SNR grid has 9 points
     ],
 )
-def test_invalid_usage_exits_2(argv, tmp_path, capsys):
+def test_invalid_usage_exits_2(argv, monkeypatch, tmp_path, capsys):
+    def no_checks(*args, **kwargs):
+        pytest.fail("the self-test battery ran")
+
+    monkeypatch.setattr("rsmimo.selfcheck.run_all", no_checks)
     argv = list(argv)
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):  # a config file holding these keys
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(arg))
             argv[i] = str(path)
-    if "--out-dir" not in argv:
+    if argv[0] != "selftest" and "--out-dir" not in argv:
         argv += ["--out-dir", str(tmp_path)]
     assert run_cli(*argv) == 2
     assert "error:" in capsys.readouterr().err
@@ -116,6 +125,10 @@ def test_invalid_usage_exits_2(argv, tmp_path, capsys):
         (("sweep", "--k", "0"), "N and K must be at least 1, got N=2 and K=0"),
         (("cdf", "--n", "0"), "N and K must be at least 1, got N=0 and K=4"),
         (("selftest", "--seed", "-1"), "--seed must be non-negative, got -1"),
+        (("selftest", "--workers", "0"), "--workers must be at least 1, got 0"),
+        (("converge", "--snr-db", "0:10:20"), "converge runs at one operating point; --snr-db holds 3 values"),
+        (("cdf", "--snr-db", "10", "--sigma-e2", "0.1,0.2"), "cdf runs at one operating point; --sigma-e2 holds 2 values"),
+        (("converge",), "converge runs at one operating point; --snr-db holds 9 values"),
     ],
 )
 def test_seed_and_dimensions_are_named_before_any_work_runs(argv, named, monkeypatch, tmp_path, capsys):
@@ -124,6 +137,7 @@ def test_seed_and_dimensions_are_named_before_any_work_runs(argv, named, monkeyp
 
     monkeypatch.setattr("rsmimo.evaluate.design_precoders", no_work)
     monkeypatch.setattr("rsmimo.evaluate.draw_channels", no_work)
+    monkeypatch.setattr("rsmimo.cli.draw_channels", no_work)
     monkeypatch.setattr("rsmimo.selfcheck.run_all", no_work)
     argv = list(argv) + ([] if argv[0] == "selftest" else ["--out-dir", str(tmp_path)])
     assert run_cli(*argv) == 2
@@ -311,6 +325,24 @@ def test_converge_iterations_match_sweep_proposed_rows(tmp_path, csit):
     assert converge == [it for _, it in proposed]
 
 
+def test_quantized_one_point_commands_ignore_the_sigma_e2_grid(tmp_path):
+    # quantized mode draws no error variance, so, as in sweep, a sigma_e2
+    # grid of any length leaves converge and cdf at their one SNR point
+    point = ("--m", "4", "--n", "2", "--k", "2", "--snr-db", "10", "--draws", "2",
+             "--csit", "quantized", "--bits", "3", "--schemes", "proposed,mrt", "--format", "json")
+    outputs = {}
+    for grid in ("0.1", "0.1,0.2"):
+        out = tmp_path / grid
+        out.mkdir()
+        for command in ("converge", "cdf"):
+            assert run_cli(command, *point, "--sigma-e2", grid, "--out-dir", str(out)) == 0
+            outputs[grid, command] = json.loads((out / f"{command}.json").read_text())
+    for command in ("converge", "cdf"):
+        assert outputs["0.1", command] == outputs["0.1,0.2", command]
+        assert outputs["0.1,0.2", command]["snr_db"] == 10.0
+        assert outputs["0.1,0.2", command]["sigma_e2"] is None
+
+
 def test_cdf_outputs_distribution(tmp_path, capsys):
     code = run_cli(
         "cdf",
@@ -337,7 +369,7 @@ def test_cdf_outputs_distribution(tmp_path, capsys):
 def test_selftest_exit_codes(monkeypatch, capsys):
     calls = {}
 
-    def fake_run_all(seed=0, quick=False, report=print, workers=1):
+    def fake_run_all(seed=0, quick=False, workers=1):
         calls["quick"] = quick
         return [CheckResult(name="x", passed=True, detail="", seconds=0.0)]
 
@@ -346,7 +378,7 @@ def test_selftest_exit_codes(monkeypatch, capsys):
     assert calls["quick"] is True
     assert "1/1 checks passed" in capsys.readouterr().out
 
-    def fake_run_all_fail(seed=0, quick=False, report=print, workers=1):
+    def fake_run_all_fail(seed=0, quick=False, workers=1):
         return [
             CheckResult(name="x", passed=True, detail="", seconds=0.0),
             CheckResult(name="y", passed=False, detail="bad", seconds=0.0),

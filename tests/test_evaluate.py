@@ -245,6 +245,7 @@ def test_quantized_mode_records_effective_variance():
         dict(M=4, N=5),
         dict(N=0),
         dict(K=0),
+        dict(draws=True),  # a bool is not a count
     ],
 )
 def test_config_validation(overrides):
@@ -253,11 +254,12 @@ def test_config_validation(overrides):
 
 
 def test_integer_fields_are_named_when_rejected_and_coerced_when_accepted():
-    for name, value in (("draws", 2.0), ("seed", 1.5), ("bits", 2.5), ("K", None)):
+    for name, value in (("draws", 2.0), ("seed", 1.5), ("bits", 2.5), ("K", None), ("draws", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             small_config(**{name: value})
-    with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
-        SolverConfig(max_iters=2.5)
+    for value in (2.5, True):  # a bool is not a count
+        with pytest.raises(ValueError, match=f"max_iters must be an integer, got {value!r}"):
+            SolverConfig(max_iters=value)
     with pytest.raises(ValueError, match="SNR 4000 dB"):
         small_config(snr_db_grid=(4000.0,))
     cfg = small_config(draws=np.int64(1), seed=np.int64(5), solver=SolverConfig(max_iters=np.int64(60)))
