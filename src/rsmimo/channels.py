@@ -66,11 +66,13 @@ def as_int(name, value) -> int:
     return operator.index(value)
 
 
-def _check_dims(M, N, K=1):
-    if not as_int("M", M) > as_int("N", N) >= 1:
-        raise ValueError(f"need M > N >= 1, got M={M}, N={N}")
-    if as_int("K", K) < 1:
-        raise ValueError(f"need K >= 1, got K={K}")
+def check_dims(M, N, K=1):
+    """The dimension rule of every channel and design: N, K >= 1 and M > N."""
+    M, N, K = as_int("M", M), as_int("N", N), as_int("K", K)
+    if N < 1 or K < 1:
+        raise ValueError(f"N and K must be at least 1, got N={N} and K={K}")
+    if M <= N:
+        raise ValueError(f"M must exceed N, got M={M} and N={N}")
 
 
 def sample_estimation_channel(M, N, K, sigma_e2, rng) -> ChannelSet:
@@ -79,7 +81,7 @@ def sample_estimation_channel(M, N, K, sigma_e2, rng) -> ChannelSet:
     Estimate entries have variance 1 - sigma_e2[k], error entries sigma_e2[k],
     so the true channel keeps unit entry variance.
     """
-    _check_dims(M, N, K)
+    check_dims(M, N, K)
     sigma_e2 = [float(s) for s in sigma_e2]
     if len(sigma_e2) != K:
         raise ValueError(f"expected {K} error variances, got {len(sigma_e2)}")
@@ -143,7 +145,7 @@ def random_codebook(M, N, bits, rng) -> Codebook:
     at a time. A column numerically in the span of the ones before it is set
     to zero, so the semi-unitary check names its codeword.
     """
-    _check_dims(M, N)
+    check_dims(M, N)
     bits = as_int("bits", bits)
     if not (1 <= bits <= MAX_CODEBOOK_BITS):
         raise ValueError(f"bits must be in [1, {MAX_CODEBOOK_BITS}], got {bits}")
@@ -208,6 +210,8 @@ def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
     M*gamma_hat/(M-N) with gamma_hat pooled over users (distortion per column).
     """
     K = len(H_list)
+    if not K:
+        raise ValueError(f"need a (K, M, N) stack of channels with K >= 1, got shape {np.shape(H_list)}")
     M, N = H_list[0].shape
     if len(codebooks) != K:
         raise ValueError(f"expected one codebook per user, got {len(codebooks)} for {K} users")
@@ -231,7 +235,7 @@ def quantized_csit_from_channels(H_list, codebooks) -> tuple[ChannelSet, float]:
 
 def sample_quantized_csit(M, N, K, bits, rng) -> tuple[ChannelSet, float]:
     """Draw channels and quantize each user's subspace with a fresh random codebook."""
-    _check_dims(M, N, K)
+    check_dims(M, N, K)
     codebooks = [random_codebook(M, N, bits, rng) for _ in range(K)]
     H = [complex_gaussian(rng, (M, N)) for _ in range(K)]
     return quantized_csit_from_channels(H, codebooks)

@@ -64,10 +64,7 @@ class ExperimentConfig:
             raise ValueError("draws must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.N < 1 or self.K < 1:
-            raise ValueError(f"N and K must be at least 1, got N={self.N} and K={self.K}")
-        if self.M <= self.N:
-            raise ValueError(f"M must exceed N, got M={self.M} and N={self.N}")
+        channels.check_dims(self.M, self.N, self.K)
         if not self.snr_db_grid or (self.csit == "estimation" and not self.sigma_e2_grid):
             raise ValueError("SNR and sigma_e2 grids must be non-empty")
         if not all(math.isfinite(v) for v in (*self.snr_db_grid, *self.sigma_e2_grid)):

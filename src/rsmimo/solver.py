@@ -4,7 +4,10 @@ Each sweep refreshes filters and weights, solves the private and common
 precoder blocks in closed form, then rebalances the common/private power split
 by bisection on the scalar split variable t. `run` groups the sweeps into
 SQUAREM cycles: two sweeps, an extrapolation along them and one stabilizing
-sweep from the extrapolated point.
+sweep from the extrapolated point. A design that starts all-private stays so.
+One that starts with a common block keeps it until the final rebalance; a
+common direction that vanishes on the way is an error, not a switch to
+all-private.
 
 Channel estimates and private precoders are (K, M, N) arrays; the closed-form
 blocks work on the side-by-side M x NK matrix [P_1, ..., P_K] and accept
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import as_int
+from .channels import as_int, check_dims
 from .rates import (
     PrecoderSet,
     all_bundles,
@@ -56,8 +59,9 @@ class SolverState:
     (a sweep, possibly a stabilizing one, would have raised the objective and
     was discarded) or 'max_iters'. `extrapolations` counts the sweeps actually
     started from an extrapolated point, `extrapolations_accepted` those kept.
-    `boundary_hits` includes the P3 flag of a discarded final sweep. States
-    compare and hash by identity.
+    `boundary_hits` holds (iteration, 'low' or 'high') for each P3 solve that
+    stopped at an end of the split clamp, a discarded final sweep's included.
+    States compare and hash by identity.
     """
 
     P: PrecoderSet
@@ -73,10 +77,6 @@ class SolverState:
     def converged(self) -> bool:
         """False only when the run stopped at max_iters."""
         return self.termination != "max_iters"
-
-
-class CommonCollapse(ValueError):
-    """The closed-form common precoder direction vanished."""
 
 
 def _blocks(Pp_cat, K):
@@ -104,9 +104,10 @@ def initialize(H_hat, rho, sigma_e2_rep):
     """Power split t' = initial_split(rho, sigma_e2) with a singular-space common
     precoder and equal-power matched private precoders; exact total power rho."""
     H = np.asarray(H_hat)
+    if H.ndim != 3 or not len(H):
+        raise ValueError(f"need a (K, M, N) stack of channel estimates with K >= 1, got shape {H.shape}")
     K, M, N = H.shape
-    if M < N:
-        raise ValueError("need at least as many transmit antennas as receive antennas")
+    check_dims(M, N, K)
     t0 = initial_split(rho, sigma_e2_rep)
     if t0 >= 1.0:
         Pc = np.zeros((M, N), dtype=complex)
@@ -170,7 +171,7 @@ def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     """Closed-form common precoder at power rho*(1 - t_star), M x N.
 
     Returns (Pc, A, U), A and U being the block's quadratic and linear terms.
-    Raises CommonCollapse when the common direction vanishes (norm below 1e-12).
+    Raises a ValueError when the common direction vanishes (norm below 1e-12).
     """
     if not (0.0 < t_star < 1.0):
         raise ValueError("t_star must lie in (0, 1)")
@@ -183,7 +184,7 @@ def solve_p2(H_hat, sigma_e2, Dc_list, Wc_list, Pp_cat, rho, t_star, sigma_n2):
     Pc_bar = cholesky_solve(_plus_identity(A, lam2), U)
     scale = frobenius(Pc_bar)
     if scale < 1e-12:
-        raise CommonCollapse("common precoder direction collapsed")
+        raise ValueError(f"common precoder direction collapsed (norm {scale:.3g} < 1e-12)")
     return math.sqrt(rho * (1.0 - t_star)) * Pc_bar / scale, A, U
 
 
@@ -256,10 +257,9 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
 
     A cycle makes two sweeps P0 -> P1 -> P2, extrapolates along them
     (`_extrapolate`) and makes one stabilizing sweep from the extrapolated
-    point. A cycle skips the extrapolation when the design turned all-private
-    (t = 1 and a zero common block, for good) during it or the extrapolated
-    split leaves the clamp interval. step_max starts at 1 and is multiplied by
-    4 each time a capped step is planned.
+    point. A cycle skips the extrapolation when the extrapolated split leaves
+    the clamp interval. step_max starts at 1 and is multiplied by 4 each time
+    a capped step is planned.
 
     Every sweep, the stabilizing one included, is measured against the last
     accepted objective (f(P2) for the stabilizing sweep), so the trace holds
@@ -268,7 +268,12 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     increase the objective is discarded and ends it too ('overshoot'), which
     keeps P2 when the stabilizing sweep fails. `max_iters` counts sweeps,
     stabilizing ones included.
-    `force_sdma` starts the design all-private.
+    `force_sdma` starts the design all-private (t = 1, a zero common block),
+    as t' = 1 from `initial_split` does; such a design stays all-private.
+    Otherwise every sweep solves P1, P2 and P3, and a split that ends with
+    1 - 1e-4 < t < 1 is rebalanced to all-private after the last sweep. A
+    breakdown in a sweep, a vanished common direction among them, raises a
+    RuntimeError that names the iteration.
     The bundles behind each accepted objective value serve the next sweep's
     private block, so a sweep computes bundles twice (once if all-private),
     and an extrapolated point once more.
@@ -282,7 +287,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         raise ValueError(f"rho and sigma_n2 must be finite and positive, got {rho} and {sigma_n2}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
-    P, t = initialize(H, rho, max(sigma_e2, default=0.0))  # all_bundles rejects an empty list
+    P, t = initialize(H, rho, max(sigma_e2, default=0.0))  # initialize rejects an empty stack
     sigma_e2 = np.asarray(sigma_e2, dtype=float)  # once, not in every kernel call
     if force_sdma and t < 1.0:
         P, t = _all_private(P), 1.0
@@ -294,23 +299,17 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         P_s, t_s = x or (P, t)
         start = all_bundles(H, sigma_e2, P_s, sigma_n2) if x else bundles
         Pp_cat, B, V = solve_p1(H, sigma_e2, start.Dp, weights(start).Wp, rho, t_s, sigma_n2)
-        Pc, t_new, flag = np.zeros_like(P_s.Pc), 1.0, ""
+        Pc, t_new = np.zeros_like(P_s.Pc), 1.0
         if t_s < 1.0:
             P_mid = PrecoderSet(Pc=P_s.Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
             mid = all_bundles(H, sigma_e2, P_mid, sigma_n2, private=False)  # P2 reads Dc, Wc only
-            try:
-                Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t_s, sigma_n2)
-            except CommonCollapse:
-                flag = "sdma"  # continue as an all-private design
-            else:
-                Pc, Pp_cat = Pc / frobenius(Pc), Pp_cat / frobenius(Pp_cat)
-                t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho)
-                Pc, Pp_cat = math.sqrt(rho * (1.0 - t_new)) * Pc, math.sqrt(rho * t_new) * Pp_cat
+            Pc, A, U = solve_p2(H, sigma_e2, mid.Dc, weights(mid).Wc, Pp_cat, rho, t_s, sigma_n2)
+            Pc, Pp_cat = Pc / frobenius(Pc), Pp_cat / frobenius(Pp_cat)
+            t_new, flag = solve_p3(U, V, A, B, Pc, Pp_cat, rho)
+            Pc, Pp_cat = math.sqrt(rho * (1.0 - t_new)) * Pc, math.sqrt(rho * t_new) * Pp_cat
             if flag:
                 boundary_hits.append((it, flag))
         P_new = PrecoderSet(Pc=Pc, Pp=_blocks(Pp_cat, K), rho=P_s.rho)
-        if flag == "sdma":
-            P_new = _all_private(P_new)
         _check_power(P_new, rho, f"iteration {it}")
         bundles_new = all_bundles(H, sigma_e2, P_new, sigma_n2)
         return P_new, t_new, bundles_new, f1_from_bundles(bundles_new)
@@ -341,8 +340,7 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         cycle.append(P)
         x = None
         if len(cycle) == 3:
-            P0, P1, _ = cycle
-            step = None if P0.Pc.any() != P.Pc.any() else _extrapolate(P0, P1, P, step_max)
+            step = _extrapolate(*cycle, step_max)
             if step is None:
                 del cycle[:2]  # P2 starts the next cycle
             else:  # the stabilizing sweep's iterate starts the next cycle

@@ -37,6 +37,9 @@ RUNS = {
     "sweep_quantized": (["sweep", "--csit", "quantized", "--bits", "4", "--snr-db", "0:20:60", "--draws", "3"], "sweep"),
     "converge": (["converge", "--snr-db", "20", "--sigma-e2", "0.1", "--draws", "3"], "converge"),
     "cdf": (["cdf", "--snr-db", "30", "--sigma-e2", "0.1", "--draws", "6"], "cdf"),
+    # just above the all-private threshold: a P3 `high` flag, clamp-rejected
+    # extrapolations and final rebalances (tests/branch_counts.py counts them)
+    "sweep_threshold": (["sweep", "--snr-db", "1", "--sigma-e2", "0.8", "--draws", "4"], "sweep"),
 }
 SUFFIXES = (".csv", ".json")
 

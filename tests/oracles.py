@@ -325,7 +325,8 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
 
     Same updates and acceptance rule as the library's solver, but every
     per-user MSE matrix, weight and block term is built in a Python loop with
-    dense inverses and slogdet. Returns (objective trace, iterations, t, Pc, Pp).
+    dense inverses and slogdet. A vanished common direction raises a
+    ValueError. Returns (objective trace, iterations, t, Pc, Pp).
     """
     K = len(H_hat)
     M, N = H_hat[0].shape
@@ -374,20 +375,20 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
         scale = np.sqrt(rho / sum(np.sum(np.abs(Q) ** 2) for Q in Pp))
         return np.zeros((M, N), dtype=complex), [scale * Q for Q in Pp]
 
-    def sweep(Pc, Pp, t, locked):
+    def sweep(Pc, Pp, t):
         B, lin, tr_p = block(bundles(Pc, Pp), common=False)
         V = np.concatenate(lin, axis=1)
         X = np.linalg.inv(B + sigma_n2 * tr_p / (rho * t) * eye_m) @ V
         Pp_cat = np.sqrt(rho * t) * X / np.linalg.norm(X)
         Pp_new = np.split(Pp_cat, K, axis=1)
         if locked:
-            return np.zeros((M, N), dtype=complex), Pp_new, 1.0, True
+            return np.zeros((M, N), dtype=complex), Pp_new, 1.0
         A, lin, tr_c = block(bundles(Pc, Pp_new), common=True)
         U = sum(lin)
         cross = np.trace(A @ Pp_cat @ Pp_cat.conj().T).real
         Y = np.linalg.inv(A + (sigma_n2 * tr_c + cross) / (rho * (1.0 - t)) * eye_m) @ U
         if np.linalg.norm(Y) < 1e-12:
-            return *all_private(Pp_new), 1.0, True
+            raise ValueError(f"common precoder direction collapsed (norm {np.linalg.norm(Y):.3g} < 1e-12)")
         Pc_n, Pp_n = Y / np.linalg.norm(Y), Pp_cat / np.linalg.norm(Pp_cat)
         a = np.trace(U.conj().T @ Pc_n).real
         b = np.trace(V.conj().T @ Pp_n).real
@@ -408,11 +409,11 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
                 lo, hi = (mid, hi) if deriv(mid) < 0.0 else (lo, mid)
             t_new = 0.5 * (lo + hi)
         Pp_new = np.split(np.sqrt(rho * t_new) * Pp_n, K, axis=1)
-        return np.sqrt(rho * (1.0 - t_new)) * Pc_n, Pp_new, t_new, False
+        return np.sqrt(rho * (1.0 - t_new)) * Pc_n, Pp_new, t_new
 
-    def extrapolate(cycle, step_max, locked):
+    def extrapolate(cycle, step_max):
         """SQUAREM point from three iterates, block by block; None if t leaves the clamp."""
-        blocks = list(zip(*([Pc] + list(Pp) for Pc, Pp, _ in cycle)))  # (P0, P1, P2) per block
+        blocks = list(zip(*([Pc] + list(Pp) for Pc, Pp in cycle)))  # (P0, P1, P2) per block
         rr = sum(np.sum(np.abs(x1 - x0) ** 2) for x0, x1, _ in blocks)
         vv = sum(np.sum(np.abs(x2 - 2.0 * x1 + x0) ** 2) for x0, x1, x2 in blocks)
         alpha = -min(step_max, max(1.0, np.sqrt(rr / vv) if vv > 0.0 else np.inf))
@@ -440,26 +441,26 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
     # SQUAREM cycles: two sweeps P0 -> P1 -> P2, then one stabilizing sweep
     # from the extrapolated point; any sweep that ends above the last
     # accepted objective is discarded and ends the run
-    cycle, start, alpha, step_max = [(Pc, Pp, locked)], (Pc, Pp, t), None, 1.0
+    cycle, start, alpha, step_max = [(Pc, Pp)], (Pc, Pp, t), None, 1.0
     for it in range(max_iters):
         iterations = it + 1
-        Pc_new, Pp_new, t_new, locked_new = sweep(*start, locked)
+        Pc_new, Pp_new, t_new = sweep(*start)
         f_new = objective(bundles(Pc_new, Pp_new))
         if f_new > f_cur:
             break
-        Pc, Pp, t, locked = Pc_new, Pp_new, t_new, locked_new
+        Pc, Pp, t = Pc_new, Pp_new, t_new
         trace.append(f_new)
         if alpha == -step_max:
             step_max *= 4.0
         if f_cur - f_new < obj_tol * abs(f_cur):
             break
         f_cur = f_new
-        cycle = cycle + [(Pc, Pp, locked)] if alpha is None else [(Pc, Pp, locked)]
+        cycle = cycle + [(Pc, Pp)] if alpha is None else [(Pc, Pp)]
         start, alpha = (Pc, Pp, t), None
         if len(cycle) == 3:
-            step = None if cycle[0][2] != locked else extrapolate(cycle, step_max, locked)
+            step = extrapolate(cycle, step_max)
             if step is None:
-                cycle = [(Pc, Pp, locked)]
+                cycle = [(Pc, Pp)]
             else:
                 alpha, point = step
                 start = point if point is not None else start

@@ -518,7 +518,7 @@ def test_codebook_names_a_codeword_that_is_not_semi_unitary():
 
 def test_random_codebook_rejects_wide_codewords():
     # used to return 4 x 4 codewords for a 4 x 6 request
-    with pytest.raises(ValueError, match="need M > N >= 1, got M=4, N=6"):
+    with pytest.raises(ValueError, match="M must exceed N, got M=4 and N=6"):
         random_codebook(4, 6, 3, np.random.default_rng(0))
 
 
@@ -529,6 +529,8 @@ def test_quantized_csit_names_the_user_with_a_bad_codebook():
     # used to die with an IndexError
     with pytest.raises(ValueError, match="one codebook per user, got 3 for 4 users"):
         quantized_csit_from_channels(H, books)
+    with pytest.raises(ValueError, match=r"need a \(K, M, N\) stack of channels with K >= 1, got shape \(0,\)"):
+        quantized_csit_from_channels([], [])
     # used to raise numpy's matmul shape error
     books.insert(2, random_codebook(6, 2, 3, rng))
     with pytest.raises(ValueError, match=r"user 2: channel shape \(8, 2\) does not match the codeword shape \(6, 2\)"):

@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
+import rsmimo.solver as solver
+from branch_counts import counting
 from conftest import make_rng, random_instance, random_precoders
 from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, frozen_solve_p3, grid_scan_root, per_user_solver
 from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
+from rsmimo.evaluate import ExperimentConfig, draw_channels
 from rsmimo.rates import (
     PrecoderSet,
     all_bundles,
@@ -25,7 +28,6 @@ from rsmimo.rates import (
 )
 from rsmimo.solver import (
     T_CLAMP,
-    CommonCollapse,
     SolverConfig,
     _block_system,
     initialize,
@@ -249,56 +251,24 @@ def test_common_block_raises_when_its_direction_collapses():
     Dp, Wp = random_filters(rng, 6, 2, 2)
     H2, s2 = [H_hat[0], -H_hat[0]], s2 * 2
     Pp_cat, _, _ = solve_p1(H2, s2, Dp, Wp, 50.0, 0.6, 1.0)
-    with pytest.raises(CommonCollapse):
+    with pytest.raises(ValueError, match=r"common precoder direction collapsed \(norm 0 < 1e-12\)"):
         solve_p2(H2, s2, Dc * 2, Wc * 2, Pp_cat, 50.0, 0.6, 1.0)
 
 
-def test_run_continues_all_private_after_common_collapse(monkeypatch):
-    rng = make_rng(32)
-    H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
-    rho = 50.0
-    calls = []
+def test_run_raises_on_a_common_collapse_naming_the_iteration(monkeypatch):
+    # no input is known to collapse the common direction inside run, so the
+    # P2 solve (the only M x N right-hand side) is shrunk below the guard:
+    # the design fails instead of switching to all-private
+    real = solver.cholesky_solve
 
-    def collapse(*args):
-        calls.append(args)
-        raise CommonCollapse("synthetic collapse")
+    def shrunk(A, X):
+        return real(A, X) * (1e-20 if X.shape[1] == 2 else 1.0)
 
-    monkeypatch.setattr("rsmimo.solver.solve_p2", collapse)
-    state = run(H_hat, s2, rho, 1.0)
-    assert len(calls) == 1
-    assert state.boundary_hits == ((0, "sdma"),)
-    assert state.P.power() == pytest.approx(rho, rel=1e-9)
-    assert state.iterations > 1 and state.t == 1.0
-    assert not state.P.Pc.any()
+    monkeypatch.setattr(solver, "cholesky_solve", shrunk)
+    H_hat, s2 = random_instance(make_rng(32), 6, 2, 2, 0.1)
+    with pytest.raises(RuntimeError, match=r"iteration 0: common precoder direction collapsed \(norm .* < 1e-12\)"):
+        run(H_hat, s2, 50.0, 1.0)
 
-def test_run_skips_extrapolation_across_the_all_private_lock(monkeypatch):
-    # the common direction collapses in sweep 3, the first of the second
-    # cycle: that cycle mixes iterates with and without a common block and
-    # must not extrapolate along them
-    import rsmimo.solver as solver
-
-    real_p2, extrapolate = solver.solve_p2, solver._extrapolate
-    p2_calls, starts = [], []
-
-    def collapsing(*args):
-        p2_calls.append(1)
-        if len(p2_calls) == 4:
-            raise CommonCollapse("synthetic collapse")
-        return real_p2(*args)
-
-    def recording(P0, P1, P2, step_max):
-        starts.append((P0.Pc.any(), not P2.Pc.any()))
-        return extrapolate(P0, P1, P2, step_max)
-
-    monkeypatch.setattr(solver, "solve_p2", collapsing)
-    monkeypatch.setattr(solver, "_extrapolate", recording)
-    rng = make_rng(32)
-    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
-    state = run(H_hat, s2, 12.0, 1.0)  # low SNR, so the all-private sweep is kept
-    assert state.boundary_hits[-1] == (3, "sdma") and len(p2_calls) == 4
-    assert (True, False) in starts and (False, True) in starts
-    assert (True, True) not in starts
-    assert state.t == 1.0 and not state.P.Pc.any()
 
 # -------------------------------------------------------------- power split
 
@@ -368,8 +338,6 @@ def test_split_root_matches_frozen_bisection(monkeypatch):
     # the bisection with its derivative inlined returns the closure-based
     # loop's t and flag bit for bit on the iterates run passes it from 0 to
     # 70 dB (test_split_root_boundary_flags pins the two clamp cases)
-    import rsmimo.solver as solver
-
     calls = []
 
     def recording(*args):
@@ -398,7 +366,7 @@ def test_run_descends_and_holds_power(converged_states):
         assert abs(state.P.power() - rho) <= 1e-9 * rho
         assert 0.0 < state.t <= 1.0
         for it, flag in state.boundary_hits:
-            assert isinstance(it, int) and flag in ("low", "high", "sdma")
+            assert isinstance(it, int) and flag in ("low", "high")
 
 
 def test_run_is_deterministic():
@@ -433,6 +401,10 @@ def test_run_perfect_csit_locks_all_private_without_forcing():
 def test_run_validates_inputs(monkeypatch):
     rng = make_rng(37)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
+    with pytest.raises(ValueError, match=r"need a \(K, M, N\) stack of channel estimates with K >= 1, got shape \(0,\)"):
+        run([], [], 10.0, 1.0)
+    with pytest.raises(ValueError, match="M must exceed N, got M=2 and N=2"):
+        run([h[:2] for h in H_hat], s2, 50.0, 1.0)  # square channels, which every sampler rejects
     with pytest.raises(ValueError):
         run(H_hat, s2 + [0.1], 50.0, 1.0)
     with pytest.raises(ValueError):
@@ -473,8 +445,6 @@ def test_run_wraps_in_sweep_failures_with_iteration_context(monkeypatch):
 def test_run_raises_on_a_nan_power_naming_the_iteration(monkeypatch, rho):
     # a NaN power must fail the power check, or the run discards every sweep
     # and returns its initial precoders at max_iters as if they were a design
-    import rsmimo.solver as solver
-
     real_p1 = solver.solve_p1
 
     def nan_p1(*args):
@@ -541,17 +511,40 @@ def test_run_reuses_the_accepted_objective_bundles(monkeypatch):
     for cap in range(5, 13):
         calls.clear()
         state = run(H_hat, s2, 1e4, 1.0, SolverConfig(max_iters=cap))
-        assert state.termination == "max_iters" and not any(flag == "sdma" for _, flag in state.boundary_hits)
+        assert state.termination == "max_iters"
         assert len(calls) == 1 + 2 * state.iterations + state.extrapolations, cap
 
 
-@pytest.mark.parametrize("seed", [40, 41, 42])
+# `rsmimo sweep --snr-db 1 --sigma-e2 0.8 --draws 4 --seed 7`: rho * sigma_e2
+# = 1.007, just above the all-private threshold
+THRESHOLD = ExperimentConfig(M=8, N=2, K=4, snr_db_grid=(1.0,), sigma_e2_grid=(0.8,), draws=4,
+                             schemes=("proposed",), seed=7)
+
+
+def test_threshold_draws_reach_the_high_flag_clamp_rejection_and_final_rebalance():
+    # the three rare branches of run that real inputs reach, counted without
+    # changing what run does
+    with counting() as counts:
+        for draw in range(THRESHOLD.draws):
+            chans, rho = draw_channels(THRESHOLD, 0, 0, draw)
+            assert solver.run(chans.H_hat, chans.sigma_e2, rho, 1.0).termination == "tol"
+    c = counts["proposed"]
+    assert (c["p3 high"], c["extrapolation clamp-rejected"], c["final rebalance"]) == (1, 4, 2)
+    assert c["termination tol"] == 4 and not c["failed"]
+
+
+@pytest.mark.parametrize("case", [40, 41, 42, "threshold"])
 @pytest.mark.parametrize("force_sdma", [False, True])
-def test_run_matches_per_user_reference_loop(seed, force_sdma):
-    rng = make_rng(seed)
-    H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
-    state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
-    trace, iterations, t, Pc, Pp = per_user_solver(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
+def test_run_matches_per_user_reference_loop(case, force_sdma):
+    if case == "threshold":  # draw 2 hits P3's `high` flag and then the final rebalance
+        chans, rho = draw_channels(THRESHOLD, 0, 0, 2)
+        H_hat, s2 = chans.H_hat, chans.sigma_e2
+    else:
+        (H_hat, s2), rho = random_instance(make_rng(case), 8, 2, 4, 0.1), 100.0
+    state = run(H_hat, s2, rho, 1.0, force_sdma=force_sdma)
+    trace, iterations, t, Pc, Pp = per_user_solver(H_hat, s2, rho, 1.0, force_sdma=force_sdma)
+    if case == "threshold" and not force_sdma:
+        assert [flag for _, flag in state.boundary_hits] == ["high"] and state.t == 1.0
     assert state.iterations == iterations
     np.testing.assert_allclose(state.objective_trace, trace, rtol=0.0, atol=1e-10)
     assert state.t == pytest.approx(t, abs=1e-10)
@@ -594,8 +587,6 @@ def test_run_termination_max_iters():
 def test_run_keeps_p2_when_the_stabilized_point_rises(monkeypatch):
     # the first sweep started from an extrapolated point ends 1 nat higher
     # than it should: run must discard it and end on P2, the trace never rising
-    import rsmimo.solver as solver
-
     extrapolate, f1 = solver._extrapolate, solver.f1_from_bundles
     pending, rejected = [], []
 
@@ -658,8 +649,6 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     # makes none). The factors and inverses come from numpy.linalg's LAPACK
     # gufuncs, called directly, and the sweep's norms from rates.frobenius, so
     # the numpy.linalg entry points see only initialization's norm and SVD.
-    import rsmimo.solver as solver
-
     calls = Counter()
 
     def count(module, name, key):
@@ -680,7 +669,7 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     H_hat, s2 = random_instance(rng, 8, 2, 4, 0.1)
     state = run(H_hat, s2, 100.0, 1.0, force_sdma=force_sdma)
     n, e = state.iterations, state.extrapolations
-    assert n > 1 and e > 0 and not any(flag == "sdma" for _, flag in state.boundary_hits)
+    assert n > 1 and e > 0
     if force_sdma:
         expected = {"np.linalg.svd": 1, "np.linalg.norm": 1, "frobenius": n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
     else:
