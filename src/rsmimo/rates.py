@@ -20,14 +20,12 @@ M^-1 = Lam22^H Lam22. Z is positive definite exactly when F and M are, so a
 non-definite system still raises LinAlgError. A bundle stores D, the log-dets
 and M^-1, which the solver reads, and L22, from which M is derived when read.
 
-A bundle factors only the streams its reader uses. At all-private precoders
-(Pc exactly zero) S = 0 for every common stream, so its fields are exact
-constants (D = 0, log det M = 0, M^-1 = L22 = I) and only the private systems
-are factored. One read-only cache per (N, K) holds these constants and the
-constant rows of the kernel's stacked system, shared by every call. A
-common-only bundle (all_bundles(..., private=False), which feeds the common
-block alone) factors only the common systems and holds None for every
-private field.
+A bundle factors only the streams its reader uses and holds None for every
+field of a stream it skipped: the common fields at all-private precoders (Pc
+exactly zero, where the common stream carries nothing), the private fields of
+a common-only bundle (all_bundles(..., private=False), which feeds the common
+block alone). One read-only cache per (N, K) holds the constant rows of the
+kernel's stacked system, shared by every call.
 """
 
 from __future__ import annotations
@@ -78,9 +76,6 @@ class PrecoderSet:
 class _PerUser:
     """Fields share a leading user axis; indexing (and so iterating) gives one user's bundle."""
 
-    def __len__(self):
-        return len(getattr(self, fields(self)[0].name))
-
     def __getitem__(self, k):
         values = (getattr(self, f.name) for f in fields(self))
         return type(self)(*(None if v is None else v[k] for v in values))
@@ -93,10 +88,9 @@ class MseBundle(_PerUser):
 
     Stored: what the solver reads and the factor blocks L22c, L22p. Derived
     when read: the common- and private-stream MMSE error matrices Mc_mmse and
-    Mp_mmse. In an all-private bundle the common fields are shared read-only
-    constants (Dc = 0, logdet_c = 0, Mc_inv = L22c = I); in a common-only
-    bundle the private fields Dp, logdet_p, Mp_inv and L22p are None, and
-    indexing passes them through as None.
+    Mp_mmse. Every field of a stream the bundle did not factor is None, the
+    common ones in an all-private bundle and the private ones in a
+    common-only bundle, and indexing passes them through as None.
     """
 
     Dc: np.ndarray
@@ -108,13 +102,14 @@ class MseBundle(_PerUser):
     L22c: np.ndarray
     L22p: np.ndarray
 
-    Mc_mmse = property(lambda self: herm(self.L22c @ _h(self.L22c)))
-    Mp_mmse = property(lambda self: herm(self.L22p @ _h(self.L22p)))
+    Mc_mmse = property(lambda self: None if self.L22c is None else herm(self.L22c @ _h(self.L22c)))
+    Mp_mmse = property(lambda self: None if self.L22p is None else herm(self.L22p @ _h(self.L22p)))
 
 
 @dataclass(frozen=True, eq=False)
 class WeightBundle(_PerUser):
-    """Weight matrices and softmax weights; weights() stacks them over users."""
+    """Weight matrices and softmax weights; weights() stacks them over users.
+    With no common stream, Wc and mu are None."""
 
     Wc: np.ndarray
     Wp: np.ndarray
@@ -235,22 +230,14 @@ def expectation_quadratic(variances, X):
 
 @lru_cache(maxsize=64)
 def _constants(N, K):
-    """all_bundles' constants for N x N streams and K users, shared and read-only.
-
-    Returns (Y, Dc, logdet_c, Mc_inv, L22c): Y with only its constant rows
-    E^H filled in, then the common fields of every user at Pc = 0. With no
-    common signal, S = 0 and Z = [[F, 0], [0, I]], so the factor gives D = 0,
-    log det M = 0 and M^-1 = L22 = I exactly, whatever F is.
-    """
+    """all_bundles' stacked Y for N x N streams and K users with only its
+    constant rows E^H filled in, shared and read-only."""
     pick = np.eye(N * (K + 1)).reshape(K + 1, N, N * (K + 1))
     Y = np.zeros((2 * K, 2 * N, N * (K + 1)), dtype=complex)
     Y[:K, N:] = pick[0]
     Y[K:, N:] = pick[1:]
-    eye = np.broadcast_to(np.eye(N, dtype=complex), (K, N, N)).copy()
-    out = (Y, np.zeros((K, N, N), dtype=complex), np.zeros(K), eye, eye)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    Y.flags.writeable = False
+    return Y
 
 
 def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseBundle:
@@ -260,10 +247,9 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     common-stream noise floor; G is the private-only counterpart valid after
     common-stream removal.
 
-    Only the streams a caller reads are factored. An all-private P (Pc exactly
-    zero) factors the K private systems; its common fields are the exact
-    constants of `_constants`, shared and read-only. private=False factors
-    the K common systems and leaves the private fields None.
+    Only the streams a caller reads are factored, and the fields of the
+    others are None. An all-private P (Pc exactly zero) factors the K private
+    systems; private=False factors the K common systems.
     """
     Hh = _h(np.asarray(H_hat))                               # (K, N, M)
     K, N, _ = Hh.shape
@@ -280,8 +266,7 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     # the stream receives (all of Sfull for F, its private ones for G) and E
     # picks the stream's own columns, so R E = S and E^H E = I exactly. Y
     # keeps its full width for either half alone, which keeps the bits.
-    Y, *zero_common = _constants(N, K)
-    Y = Y[K - c:K + K * private].copy()
+    Y = _constants(N, K)[K - c:K + K * private].copy()
     floors = []  # error-variance floors of F, then of G
     if common:
         Y[:K, :N] = Sfull
@@ -299,7 +284,7 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     D = L[:, N:, :N] @ Li[:, :N, :N]
     Mi = herm(_h(Li22) @ Li22)
     ld = 2.0 * np.log(L22.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-    Dc, ldc, Mic, L22c = (D[:c], ld[:c], Mi[:c], L22[:c]) if common else zero_common
+    Dc, ldc, Mic, L22c = (D[:c], ld[:c], Mi[:c], L22[:c]) if common else (None,) * 4
     Dp, ldp, Mip, L22p = (D[c:], ld[c:], Mi[c:], L22[c:]) if private else (None,) * 4
     return MseBundle(Dc, Dp, logdet_c=ldc, logdet_p=ldp, Mc_inv=Mic, Mp_inv=Mip, L22c=L22c, L22p=L22p)
 
@@ -311,8 +296,13 @@ def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
 
 
 def f1_from_bundles(bundles: MseBundle) -> float:
-    """Smoothed max of common log-det MSEs plus the private log-det sum, in nats."""
-    return logsumexp(bundles.logdet_c) + float(bundles.logdet_p.sum())
+    """Smoothed max of common log-det MSEs plus the private log-det sum, in nats.
+
+    With no common stream every common log-det is 0 and the smoothed max is
+    log K, the logsumexp of K zeros bit for bit.
+    """
+    lc, lp = bundles.logdet_c, bundles.logdet_p
+    return (float(np.log(len(lp))) if lc is None else logsumexp(lc)) + float(lp.sum())
 
 
 def objective_f1(H_hat, sigma_e2, P: PrecoderSet, sigma_n2) -> float:
@@ -324,9 +314,12 @@ def weights(bundles: MseBundle) -> WeightBundle:
     """Stacked weight matrices and the softmax split over common log-det MSEs.
 
     The weights are the MSE inverses the bundle already holds, the common ones
-    scaled by the softmax weights mu; no linear algebra happens here.
+    scaled by the softmax weights mu; no linear algebra happens here. With no
+    common stream, Wc and mu are None.
     """
     lc = bundles.logdet_c
+    if lc is None:
+        return WeightBundle(Wc=None, Wp=bundles.Mp_inv, mu=None)
     mu = np.exp(lc - logsumexp(lc))
     return WeightBundle(Wc=mu[:, None, None] * bundles.Mc_inv, Wp=bundles.Mp_inv, mu=mu)
 
@@ -355,6 +348,7 @@ def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
 
 def objective_f2(Mc_list, Mp_list, weight_bundles) -> float:
     """Weighted MSE sum over users with the weights treated as constants."""
+    weight_bundles = list(weight_bundles)  # a stacked bundle iterates per user
     if not (len(Mc_list) == len(Mp_list) == len(weight_bundles)):
         raise ValueError("per-user list lengths disagree")
     total = 0.0 + 0.0j

@@ -4,10 +4,10 @@ Each sweep refreshes filters and weights, solves the private and common
 precoder blocks in closed form, then rebalances the common/private power split
 by bisection on the scalar split variable t. `run` groups the sweeps into
 SQUAREM cycles: two sweeps, an extrapolation along them and one stabilizing
-sweep from the extrapolated point. A design that starts all-private stays so.
-One that starts with a common block keeps it until the final rebalance; a
-common direction that vanishes on the way is an error, not a switch to
-all-private.
+sweep from the extrapolated point. A design that starts all-private (t' = 1,
+or the rwmmse baseline) stays so. One that starts with a common block keeps
+it until the final rebalance; a common direction that vanishes on the way is
+an error, not a switch to all-private.
 
 Channel estimates and private precoders are (K, M, N) arrays; the closed-form
 blocks work on the side-by-side M x NK matrix [P_1, ..., P_K] and accept
@@ -61,6 +61,8 @@ class SolverState:
     started from an extrapolated point, `extrapolations_accepted` those kept.
     `boundary_hits` holds (iteration, 'low' or 'high') for each P3 solve that
     stopped at an end of the split clamp, a discarded final sweep's included.
+    `objective_trace` holds the objective of every accepted iterate, a kept
+    final rebalance included, so its last value is the objective of P.
     States compare and hash by identity.
     """
 
@@ -86,7 +88,8 @@ def _blocks(Pp_cat, K):
 
 
 def _all_private(P: PrecoderSet) -> PrecoderSet:
-    """Drop the common precoder and rescale the private ones to the full budget."""
+    """The final rebalance: drop the common precoder and rescale the private
+    ones to the full budget."""
     scale = np.sqrt(P.rho / float(np.vdot(P.Pp, P.Pp).real))
     return PrecoderSet(Pc=np.zeros_like(P.Pc), Pp=scale * P.Pp, rho=P.rho)
 
@@ -206,10 +209,9 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
         return math.sqrt(rho / (1.0 - t)) * a - math.sqrt(rho / t) * b + c
 
     lo, hi = T_CLAMP, 1.0 - T_CLAMP
-    d_lo, d_hi = deriv(lo), deriv(hi)
-    if d_lo >= 0.0:
+    if deriv(lo) >= 0.0:
         return lo, "low"
-    if d_hi <= 0.0:
+    if deriv(hi) <= 0.0:
         return hi, "high"
     # derivative is strictly increasing in t, so the sign change is unique
     sqrt = math.sqrt
@@ -268,15 +270,17 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     increase the objective is discarded and ends it too ('overshoot'), which
     keeps P2 when the stabilizing sweep fails. `max_iters` counts sweeps,
     stabilizing ones included.
-    `force_sdma` starts the design all-private (t = 1, a zero common block),
-    as t' = 1 from `initial_split` does; such a design stays all-private.
-    Otherwise every sweep solves P1, P2 and P3, and a split that ends with
-    1 - 1e-4 < t < 1 is rebalanced to all-private after the last sweep. A
-    breakdown in a sweep, a vanished common direction among them, raises a
+    `force_sdma` starts the design all-private through `initialize` at
+    t' = 1, the start every design with rho * sigma_e2 <= 1 takes; such a
+    design stays all-private. Otherwise every sweep solves P1, P2 and P3, and
+    a split that ends with 1 - 1e-4 < t < 1 is rebalanced to all-private after
+    the last sweep, measured like a sweep: the rebalance is kept, and its
+    objective appended to the trace, only if it does not raise the objective.
+    A breakdown in a sweep, a vanished common direction among them, raises a
     RuntimeError that names the iteration.
     The bundles behind each accepted objective value serve the next sweep's
     private block, so a sweep computes bundles twice (once if all-private),
-    and an extrapolated point once more.
+    and an extrapolated point and a final rebalance once more.
     """
     H = np.asarray(H_hat)
     K = len(H)
@@ -287,10 +291,9 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
         raise ValueError(f"rho and sigma_n2 must be finite and positive, got {rho} and {sigma_n2}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel estimates contain non-finite entries")
-    P, t = initialize(H, rho, max(sigma_e2, default=0.0))  # initialize rejects an empty stack
+    # an error variance of 0 gives t' = 1; initialize rejects an empty stack
+    P, t = initialize(H, rho, 0.0 if force_sdma else max(sigma_e2, default=0.0))
     sigma_e2 = np.asarray(sigma_e2, dtype=float)  # once, not in every kernel call
-    if force_sdma and t < 1.0:
-        P, t = _all_private(P), 1.0
     _check_power(P, rho, "initialization")
     boundary_hits = []
 
@@ -351,8 +354,12 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
 
     if 1.0 - 1e-4 < t < 1.0:
         # nearly all-private solution: drop the residual common component
-        P, t = _all_private(P), 1.0
-        _check_power(P, rho, "final rebalance")
+        P_ap = _all_private(P)
+        _check_power(P_ap, rho, "final rebalance")
+        f_ap = f1_from_bundles(all_bundles(H, sigma_e2, P_ap, sigma_n2))
+        if f_ap <= f_cur:
+            P, t = P_ap, 1.0
+            trace.append(f_ap)
 
     return SolverState(
         P=P, t=float(t), objective_trace=trace, iterations=it + 1, termination=termination,

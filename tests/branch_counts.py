@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tests/branch_counts.py --snr-db 1 --sigma-e2 0.8 --draws 4 --seed 7
 
 prints per scheme the P3 solves (interior, low, high), extrapolations (planned, capped at -step_max,
-skipped at alpha = -1, clamp-rejected), final rebalances, terminations and failed designs."""
+skipped at alpha = -1, clamp-rejected), final rebalances (tried, and rejected for raising the
+objective), terminations and failed designs."""
 
 import contextlib
 import sys
@@ -17,14 +18,16 @@ from rsmimo import baselines, cli, solver
 @contextlib.contextmanager
 def counting():
     """Yield {scheme: Counter} of the solver runs in the block; force_sdma runs count as 'rwmmse'."""
-    counts, scheme = defaultdict(Counter), ["proposed"]
+    counts, scheme, rebalanced = defaultdict(Counter), ["proposed"], []
     real = {name: getattr(solver, name) for name in ("run", "solve_p3", "_extrapolate", "_all_private")}
 
     def run(*args, force_sdma=False, **kwargs):
         scheme[0] = "rwmmse" if force_sdma else "proposed"
         counts[scheme[0]]["failed"] += 1  # taken back when the run returns
+        rebalanced.clear()
         state = real["run"](*args, force_sdma=force_sdma, **kwargs)
-        counts[scheme[0]].update({"failed": -1, f"termination {state.termination}": 1})
+        rejected = bool(rebalanced) and state.t < 1.0
+        counts[scheme[0]].update({"failed": -1, f"termination {state.termination}": 1, "final rebalance rejected": rejected})
         return state
 
     def solve_p3(*args):
@@ -38,8 +41,9 @@ def counting():
         counts[scheme[0]].update({f"extrapolation {kind}": 1, "extrapolation capped": bool(step) and step[0] == -args[-1]})
         return step
 
-    def all_private(P):  # proposed calls it only for the final rebalance, rwmmse to start
-        counts[scheme[0]]["final rebalance" if scheme[0] == "proposed" else "all-private start"] += 1
+    def all_private(P):  # run calls it only for the final rebalance
+        counts[scheme[0]]["final rebalance"] += 1
+        rebalanced.append(True)
         return real["_all_private"](P)
 
     wrappers = dict(run=run, solve_p3=solve_p3, _extrapolate=extrapolate, _all_private=all_private)

@@ -325,7 +325,9 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
 
     Same updates and acceptance rule as the library's solver, but every
     per-user MSE matrix, weight and block term is built in a Python loop with
-    dense inverses and slogdet. A vanished common direction raises a
+    dense inverses and slogdet. force_sdma starts all-private at t = 1, and a
+    final rebalance to all-private is kept, its objective appended, only if
+    it does not raise the objective. A vanished common direction raises a
     ValueError. Returns (objective trace, iterations, t, Pc, Pp).
     """
     K = len(H_hat)
@@ -428,13 +430,11 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
         return alpha, (X[0], X[1:], t)
 
     # initialization: singular-space common precoder, matched private ones
-    t0 = 1.0 if max(sigma_e2) == 0.0 else min(1.0, 1.0 / (rho * max(sigma_e2)))
+    t0 = 1.0 if force_sdma or max(sigma_e2) == 0.0 else min(1.0, 1.0 / (rho * max(sigma_e2)))
     left = np.linalg.svd(np.concatenate(H_hat, axis=1), full_matrices=False)[0]
     Pc = np.sqrt(rho * (1.0 - t0) / N) * left[:, :N] if t0 < 1.0 else np.zeros((M, N), dtype=complex)
     Pp = [np.sqrt(rho * t0 / (K * N)) * Hk / np.linalg.norm(Hk, axis=0) for Hk in H_hat]
     t = t0
-    if force_sdma and t < 1.0:
-        (Pc, Pp), t = all_private(Pp), 1.0
     locked = t >= 1.0
     f_cur = objective(bundles(Pc, Pp))
     trace, iterations = [f_cur], 0
@@ -465,7 +465,11 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
                 alpha, point = step
                 start = point if point is not None else start
     if not locked and t > 1.0 - 1e-4:
-        (Pc, Pp), t = all_private(Pp), 1.0
+        rebalanced = all_private(Pp)
+        f_new = objective(bundles(*rebalanced))
+        if f_new <= trace[-1]:
+            (Pc, Pp), t = rebalanced, 1.0
+            trace.append(f_new)
     return trace, iterations, t, Pc, Pp
 
 

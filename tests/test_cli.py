@@ -1,6 +1,7 @@
 # CLI tests: grid parsing, config resolution, artifacts, and exit codes.
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsmimo
+import rsmimo.selfcheck as selfcheck
 from rsmimo.cli import main, parse_grid
 from rsmimo.selfcheck import CheckResult
 
@@ -386,6 +388,42 @@ def test_selftest_exit_codes(monkeypatch, capsys):
 
     monkeypatch.setattr("rsmimo.selfcheck.run_all", fake_run_all_fail)
     assert run_cli("selftest") == 1
+
+
+# check: (seed offset, quick sizes, full sizes) as run_all passes them; the
+# rate-ordering check also gets the worker count (3 below)
+BATTERY = {
+    "check_mmse_inverse_identity": (0, (200,), (1000,)),
+    "check_quadratic_expectation": (1, (50_000,), (200_000,)),
+    "check_gradient_equality": (2, (3,), (10,)),
+    "check_descent": (3, (25,), (100,)),
+    "check_split_root": (4, (20, 200_000), (100, 1_000_000)),
+    "check_power_conservation": (5, (10,), (50,)),
+    "check_rate_ordering": (6, (40, 3), (200, 3)),
+    "check_perfect_csit": (7, (10,), (50,)),
+    "check_quantization": (8, (50,), (200,)),
+    "check_determinism": (9, (), ()),
+}
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_run_all_runs_the_ten_checks_at_their_sizes_and_prints_a_line_each(monkeypatch, capsys, quick):
+    calls = []
+    for i, name in enumerate(BATTERY):
+        # at seed 0 the battery runs each check at its own default seed
+        assert inspect.signature(getattr(selfcheck, name)).parameters["seed"].default == BATTERY[name][0]
+
+        def stub(*args, name=name, i=i):
+            calls.append((name, args))
+            return CheckResult(name=f"stub-{i}", passed=i % 3 > 0, detail=f"detail {i}", seconds=0.5 * i)
+
+        monkeypatch.setattr(selfcheck, name, stub)
+    results = selfcheck.run_all(seed=100, quick=quick, workers=3)
+    assert calls == [(name, (100 + offset, *(q if quick else full))) for name, (offset, q, full) in BATTERY.items()]
+    assert [r.name for r in results] == [f"stub-{i}" for i in range(10)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert lines == [f"{'PASS' if i % 3 else 'FAIL'}  {'stub-%d' % i:<24} detail {i}  [{i / 2:.1f}s]" for i in range(10)]
 
 
 def test_importing_the_cli_leaves_the_acceptance_battery_unloaded():

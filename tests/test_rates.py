@@ -24,6 +24,7 @@ from oracles import (
 from rsmimo.rates import (
     PrecoderSet,
     _cholesky,
+    _constants,
     all_bundles,
     checked_real,
     cholesky_logdet,
@@ -167,13 +168,17 @@ def test_mse_bundle_matches_direct_inverse_route():
 
 
 def test_mse_bundle_zero_common_precoder():
+    # with no common signal the common stream is skipped, and the private
+    # error matrix is still I - Sp^H G^-1 Sp
     rng = make_rng(8)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
     P0 = random_precoders(rng, 6, 2, 2, rho=50.0)
     P = PrecoderSet(Pc=np.zeros((6, 2), dtype=complex), Pp=P0.Pp, rho=50.0)
     b = mse_bundle(H_hat[0], s2[0], P, 1.0, 0)
-    np.testing.assert_allclose(b.Mc_mmse, np.eye(2), atol=1e-14)
-    assert np.max(np.abs(b.Dc)) == 0.0
+    assert b.Mc_mmse is None and b.Dc is None
+    _, G = receive_covariances(H_hat[0], s2[0], P, 1.0)
+    Sp = H_hat[0].conj().T @ P.Pp[0]
+    np.testing.assert_allclose(b.Mp_mmse, np.eye(2) - Sp.conj().T @ np.linalg.inv(G) @ Sp, atol=1e-12)
 
 
 def test_mmse_inverse_identity_small():
@@ -267,9 +272,9 @@ def test_bundles_match_frozen_kernel(M, N, K):
     # the trimmed kernel (cached selector rows, no symmetrization of the Gram
     # matrix, in-place noise floor, derived MMSE matrices) is bit-equal to the
     # eager one on every field the bundle has (all the reference's but F and
-    # G), stacked and per user; at t = 1 the common fields are the all-private
-    # constants. The common-only call matches on the common fields and leaves
-    # the private ones None.
+    # G), stacked and per user; at t = 1 it skips the common stream and
+    # matches on the private fields. The common-only call matches on the
+    # common fields and leaves the private ones None.
     for snr_db in range(0, 71, 10):
         rho = 10.0 ** (snr_db / 10.0)
         for s2 in (0.0, 0.1, 0.99):
@@ -279,10 +284,13 @@ def test_bundles_match_frozen_kernel(M, N, K):
                 ref = frozen_bundles(H_hat, sig, P.Pc, P.Pp, 1.0, range(K))
                 del ref["F"], ref["G"]
                 b = all_bundles(H_hat, sig, P, 1.0)
-                assert all(np.array_equal(getattr(b, name), ref[name]) for name in ref)
+                factored = [name for name in ref if P.Pc.any() or name not in COMMON_FIELDS]
+                assert len(factored) == (8 if P.Pc.any() else 4)
+                assert all(getattr(b, name) is None for name in ref if name not in factored)
+                assert all(np.array_equal(getattr(b, name), ref[name]) for name in factored)
                 for k in range(K):
                     bk = mse_bundle(H_hat[k], sig[k], P, 1.0, k)
-                    assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in ref)
+                    assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in factored)
                 mid = all_bundles(H_hat, sig, P, 1.0, private=False)
                 common = [name for name in ref if name in COMMON_FIELDS]
                 assert len(common) == 4
@@ -297,21 +305,35 @@ COMMON_FIELDS = ("Dc", "logdet_c", "Mc_inv", "Mc_mmse")
 PRIVATE_FIELDS = ("Dp", "logdet_p", "Mp_inv", "L22p")
 
 
-def test_all_private_common_fields_are_shared_read_only_constants():
-    # at Pc = 0 the common fields are exact (D = 0, log det M = 0, M^-1 =
-    # L22 = I) and come from one cache per (N, K), which no caller may write
+def test_bundles_hold_none_for_every_stream_they_skip():
+    # an all-private bundle skips the common stream and a common-only one the
+    # private streams: every field of the skipped stream is None, the derived
+    # error matrix included, stacked and per user
     rng = make_rng(513)
     H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
-    P = random_precoders(rng, 6, 2, 3, rho=10.0, t=1.0)
-    b, again = all_bundles(H_hat, s2, P, 1.0), all_bundles(H_hat, s2, P, 2.0)
-    eye = np.broadcast_to(np.eye(2), (3, 2, 2))
-    for name, value in (("Dc", 0.0 * eye), ("logdet_c", np.zeros(3)), ("Mc_inv", eye), ("L22c", eye)):
-        field = getattr(b, name)
-        assert field is getattr(again, name) and np.array_equal(field, value)
-        assert not field.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            field[...] = 1.0
-    assert b.Dp.flags.writeable
+    all_private = all_bundles(H_hat, s2, random_precoders(rng, 6, 2, 3, rho=10.0, t=1.0), 1.0)
+    common_only = all_bundles(H_hat, s2, random_precoders(rng, 6, 2, 3, rho=10.0), 1.0, private=False)
+    common, private = (*COMMON_FIELDS, "L22c"), (*PRIVATE_FIELDS, "Mp_mmse")
+    for b, skipped, kept in ((all_private, common, private), (common_only, private, common)):
+        for bundle in (b, b[2]):
+            assert all(getattr(bundle, name) is None for name in skipped)
+            assert all(getattr(bundle, name) is not None for name in kept)
+    # the kernel's constant selector rows are one read-only array per (N, K)
+    assert _constants(2, 3) is _constants(2, 3) and not _constants(2, 3).flags.writeable
+
+
+def test_no_common_stream_means_no_softmax():
+    # with no common stream, weights gives no common weights, and the
+    # objective's smoothed max over K zero log-dets is log K, bit for bit
+    rng = make_rng(515)
+    H_hat, s2 = random_instance(rng, 6, 2, 3, 0.1)
+    b = all_bundles(H_hat, s2, random_precoders(rng, 6, 2, 3, rho=10.0, t=1.0), 1.0)
+    w = weights(b)
+    assert w.Wc is None and w.mu is None and w.Wp is b.Mp_inv
+    assert [wk.Wc for wk in w] == [None] * 3
+    assert f1_from_bundles(b) == logsumexp(np.zeros(3)) + float(b.logdet_p.sum())
+    for K in range(1, 40):
+        assert np.float64(np.log(K)).tobytes() == np.float64(logsumexp(np.zeros(K))).tobytes()
 
 
 def test_common_only_bundles_and_weights_iterate_per_user():

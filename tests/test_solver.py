@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
+import rsmimo.rates as rates
 import rsmimo.solver as solver
 from branch_counts import counting
 from conftest import make_rng, random_instance, random_precoders
 from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, frozen_solve_p3, grid_scan_root, per_user_solver
+from paired_designs import compare, difference_line
 from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
 from rsmimo.evaluate import ExperimentConfig, draw_channels
 from rsmimo.rates import (
@@ -530,7 +533,48 @@ def test_threshold_draws_reach_the_high_flag_clamp_rejection_and_final_rebalance
             assert solver.run(chans.H_hat, chans.sigma_e2, rho, 1.0).termination == "tol"
     c = counts["proposed"]
     assert (c["p3 high"], c["extrapolation clamp-rejected"], c["final rebalance"]) == (1, 4, 2)
-    assert c["termination tol"] == 4 and not c["failed"]
+    assert c["termination tol"] == 4 and not c["failed"] and not c["final rebalance rejected"]
+
+
+@pytest.mark.parametrize("draw", [2, 3])
+def test_final_rebalance_is_measured_like_a_sweep(draw):
+    # the threshold command's draws 2 and 3 end all-private through the final
+    # rebalance, which lowers the objective; its value ends the trace, so the
+    # trace describes the design that is returned
+    chans, rho = draw_channels(THRESHOLD, 0, 0, draw)
+    with counting() as counts:
+        state = solver.run(chans.H_hat, chans.sigma_e2, rho, 1.0)
+    assert counts["proposed"]["final rebalance"] == 1
+    assert state.t == 1.0 and not state.P.Pc.any() and state.termination == "tol"
+    trace = state.objective_trace
+    assert len(trace) == state.iterations + 2  # the start, every sweep and the rebalance
+    assert trace[-1] < trace[-2]
+    assert trace[-1] == objective_f1(chans.H_hat, chans.sigma_e2, state.P, 1.0)
+
+
+def test_a_final_rebalance_that_raises_the_objective_is_rejected(monkeypatch):
+    # no known input gets there: the rebalance of threshold draw 2 is made to
+    # cost 1 nat more, so run keeps the last sweep's design and trace
+    chans, rho = draw_channels(THRESHOLD, 0, 0, 2)
+    f1, pending = solver.f1_from_bundles, []
+
+    def rising(bundles):
+        return f1(bundles) + (1.0 if pending else 0.0)
+
+    monkeypatch.setattr(solver, "f1_from_bundles", rising)
+    with counting() as counts:
+        counted = solver._all_private
+
+        def marking(P):
+            pending.append(True)
+            return counted(P)
+
+        with mock.patch.object(solver, "_all_private", marking):  # undone before the counter's own
+            state = solver.run(chans.H_hat, chans.sigma_e2, rho, 1.0)
+    assert counts["proposed"]["final rebalance rejected"] == 1 and pending == [True]
+    assert 1.0 - 1e-4 < state.t < 1.0 and state.P.Pc.any()
+    assert len(state.objective_trace) == state.iterations + 1
+    assert state.objective_trace[-1] == objective_f1(chans.H_hat, chans.sigma_e2, state.P, 1.0)
 
 
 @pytest.mark.parametrize("case", [40, 41, 42, "threshold"])
@@ -644,11 +688,12 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     # a proposed sweep makes 12 linear-algebra calls: one Cholesky and one
     # triangular inverse for each of its two bundles and each of the P1 and
     # P2 solves, plus four Frobenius norms; an all-private sweep makes 5 (one
-    # bundle and P1). Initialization adds one SVD, one column-norm call and
-    # the first bundles, and each extrapolated point one bundle (its step
-    # makes none). The factors and inverses come from numpy.linalg's LAPACK
-    # gufuncs, called directly, and the sweep's norms from rates.frobenius, so
-    # the numpy.linalg entry points see only initialization's norm and SVD.
+    # bundle and P1). Initialization adds one column-norm call, the first
+    # bundles and, with a common block, one SVD; each extrapolated point adds
+    # one bundle (its step makes none). The factors and inverses come from
+    # numpy.linalg's LAPACK gufuncs, called directly, and the sweep's norms
+    # from rates.frobenius, so the numpy.linalg entry points see only
+    # initialization's norm and SVD.
     calls = Counter()
 
     def count(module, name, key):
@@ -671,11 +716,11 @@ def test_linalg_calls_per_sweep(monkeypatch, force_sdma):
     n, e = state.iterations, state.extrapolations
     assert n > 1 and e > 0
     if force_sdma:
-        expected = {"np.linalg.svd": 1, "np.linalg.norm": 1, "frobenius": n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
+        expected = {"np.linalg.norm": 1, "frobenius": n, "cholesky": 1 + 2 * n + e, "inv": 1 + 2 * n + e}
     else:
         expected = {"np.linalg.svd": 1, "np.linalg.norm": 1, "frobenius": 4 * n, "cholesky": 1 + 4 * n + e, "inv": 1 + 4 * n + e}
     assert dict(calls) == expected  # so np.linalg.cholesky and np.linalg.inv are never called
-    assert sum(calls.values()) == 4 + (5 if force_sdma else 12) * n + 2 * e
+    assert sum(calls.values()) == (3 if force_sdma else 4) + (5 if force_sdma else 12) * n + 2 * e
 
 
 def test_run_names_the_iteration_of_a_non_definite_system(monkeypatch):
@@ -765,3 +810,17 @@ def test_paired_designs_script_compares_a_tree_with_itself():
     for scheme, (_, ratio, faster, identical, count) in rows.items():
         assert 0.0 < float(ratio) < float("inf") and faster.endswith("%")
         assert (identical, count) == ("yes", "(2/2)")
+
+
+def test_paired_designs_says_how_differing_states_differ():
+    # the script's report for states that differ, here a proposed and an
+    # rwmmse design of one draw
+    chans = sample_estimation_channel(8, 2, 4, [0.1] * 4, make_rng(49))
+    a, b = (run(chans.H_hat, chans.sigma_e2, 100.0, 1.0, force_sdma=f) for f in (False, True))
+    assert compare(a, a, chans.H, rates) == (True, True, 0.0, 0.0)
+    *_, d_rate, d_obj = compare(a, b, chans.H, rates)
+    assert d_rate == abs(instantaneous_rates(chans.H, a.P, 1.0)[2] - instantaneous_rates(chans.H, b.P, 1.0)[2])
+    assert d_obj == abs(a.objective_trace[-1] - b.objective_trace[-1]) > 0.0
+    line = difference_line("rwmmse", [(True, True, 9.9e-14, 1e-14), (True, False, 2e-13, 0.0)], 80)
+    assert line == ("rwmmse: 2 of 80 designs differ; iterations agree yes, terminations agree no; "
+                    "max |d sum rate| 2e-13 bits, max |d final objective| 1e-14 nats")
