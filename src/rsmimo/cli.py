@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from .evaluate import (
     empirical_cdf,
     json_summary,
     run_experiment,
+    start_version_lookup,
     version_string,
 )
 from .solver import SolverConfig, run
@@ -177,9 +179,22 @@ def _write(out: Path, fmt: str, texts: dict):
             print(f"wrote {out / name}")
 
 
+def _run(cfg: ExperimentConfig):
+    """run_experiment with the git version lookup running beside it.
+
+    The lookup starts before run_experiment forks its workers and is
+    collected on every way out, so no git process outlives the command.
+    """
+    start_version_lookup()
+    try:
+        return run_experiment(cfg)
+    finally:
+        version_string()
+
+
 def _cmd_sweep(args) -> int:
     res = _resolve(args)
-    result = run_experiment(_experiment_config(res))
+    result = _run(_experiment_config(res))
     for cell in result.cells:
         sig = "quantized" if cell.sigma_e2 is None else f"{cell.sigma_e2:g}"
         esr = "no draws" if cell.esr_bits is None else f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits"
@@ -227,7 +242,7 @@ def _cmd_converge(args) -> int:
 def _cmd_cdf(args) -> int:
     res = _resolve(args)
     cfg, snr, sigma_e2 = _one_point(res, "cdf")
-    result = run_experiment(cfg)
+    result = _run(cfg)
     lines = ["scheme,sum_rate_bits,prob"]
     summary = {}
     for scheme in cfg.schemes:
@@ -310,7 +325,11 @@ def parse_and_run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return parse_and_run(sys.argv[1:] if argv is None else argv)
+    code = parse_and_run(sys.argv[1:] if argv is None else argv)
+    # every output file is written and closed: move the heap out of reach of
+    # the collection at interpreter exit, which would only walk it
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -3,12 +3,22 @@
 Every (grid point, draw) work item derives its own seed from the experiment
 seed, so results are identical regardless of how many workers execute them.
 Schemes within a draw share the channel realization (paired comparisons).
+
+With W = min(workers, items) > 1, the items are dealt into W interleaved
+shares, items[w::W]. This process designs share 0; a child made by os.fork
+designs each other share, sends its pickled outputs back through its own
+pipe and leaves with os._exit. The children inherit the config and the
+items, so only outputs cross a pipe, and the outputs are put back in item
+order. A share stops at its first failing item; the earliest failing item of
+the grid is re-raised. os.fork is required for workers > 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -86,6 +96,8 @@ class ExperimentConfig:
             raise ValueError(f"quantized CSIT requires bits in [1, {channels.MAX_CODEBOOK_BITS}], got {self.bits}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError(f"workers={self.workers} needs os.fork, which this platform lacks; use workers=1")
 
 
 @dataclass(frozen=True)
@@ -213,17 +225,82 @@ def _item_args(cfg: ExperimentConfig):
                 yield (cfg, sigma_idx, snr_idx, draw)
 
 
+def _run_share(share):
+    """_run_draw's outputs over a share's items in order, and the exception of
+    its first failing item, which ends the share (None when every item ran)."""
+    outputs = []
+    try:
+        for args in share:
+            outputs.append(_run_draw(*args))
+    except Exception as exc:
+        return outputs, exc
+    return outputs, None
+
+
+def _fork_share(share):
+    """Fork a child that runs one share and pickles _run_share's pair into a
+    pipe; returns (pid, the pipe's read end as a binary file)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the pipe goes with the error
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:  # the child never returns into the parent's stack, whatever happens
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_run_share(share), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_items(items, workers):
+    """_run_draw's output for every item, in item order, from W interleaved shares.
+
+    A child that ends without sending its share raises a RuntimeError naming
+    the share and how the child ended. On any error or interrupt, the children
+    not yet collected are killed; every child is reaped before this returns.
+    """
+    W = min(workers, len(items))
+    children = {}  # share -> (pid, pipe) until the child is reaped
+    try:
+        for w in range(1, W):
+            children[w] = _fork_share(items[w::W])
+        shares = [_run_share(items[0::W])]
+        for w in range(1, W):
+            pid, pipe = children[w]
+            with pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
+            shares.append(pickle.loads(data))
+    finally:
+        if children:  # after an error or an interrupt only
+            import signal
+
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failed = [(w + len(outputs) * W, exc) for w, (outputs, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[i % W][0][i // W] for i in range(len(items))]
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full grid; deterministic for a given config regardless of workers."""
     items = list(_item_args(cfg))
-    workers = min(cfg.workers, len(items))
-    if workers == 1:
-        outputs = [_run_draw(*args) for args in items]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool run
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_draw, *args) for args in items]
-            outputs = [f.result() for f in futures]
+    outputs = _run_items(items, cfg.workers)
     records, failures = [], []
     for recs, fails in outputs:
         records.extend(recs)
@@ -294,21 +371,42 @@ def empirical_cdf(samples):
 
 
 @lru_cache(maxsize=1)
-def version_string() -> str:
+def start_version_lookup():
+    """Start `git rev-parse --short HEAD` in the package's directory without waiting for it.
+
+    Returns the running process, or None where git cannot be started. The
+    first call starts the process's one lookup and version_string() collects
+    it, so a caller that starts it early does not wait for git later.
+    """
     import subprocess  # loaded only to ask git for the commit
 
     try:
-        head = subprocess.run(
+        return subprocess.Popen(
             ["git", "rev-parse", "--short", "HEAD"],
             cwd=Path(__file__).resolve().parent,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
             text=True,
-            timeout=5,
         )
-        if head.returncode == 0:
-            return f"{__version__}+g{head.stdout.strip()}"
-    except (OSError, subprocess.TimeoutExpired):
-        pass
+    except OSError:
+        return None
+
+
+@lru_cache(maxsize=1)
+def version_string() -> str:
+    """__version__, plus +g and the git commit when the package sits in a repository."""
+    import subprocess
+
+    head = start_version_lookup()
+    if head is not None:
+        try:
+            out, _ = head.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            head.kill()
+            head.communicate()
+        else:
+            if head.returncode == 0:
+                return f"{__version__}+g{out.strip()}"
     return __version__
 
 

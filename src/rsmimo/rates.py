@@ -329,6 +329,8 @@ def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
 
     The CSIT-error expectation is resolved through expectation_quadratic, so
     the quadratic filter terms reuse exactly the F/G noise-floor structure.
+    A stream whose filter is None, as a bundle holds for a stream it skipped,
+    gets None for its MSE matrix.
     """
     M, N = H_hat_k.shape
     eye = np.eye(N)
@@ -341,17 +343,21 @@ def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
     G = herm(H_hat_k.conj().T @ Tp @ H_hat_k) + expectation_quadratic(var, Tp) + sigma_n2 * eye
     Sc = H_hat_k.conj().T @ P.Pc
     Sp = H_hat_k.conj().T @ P.Pp[k]
-    Mc = herm(eye - Dc @ Sc - Sc.conj().T @ Dc.conj().T + Dc @ F @ Dc.conj().T)
-    Mp = herm(eye - Dp @ Sp - Sp.conj().T @ Dp.conj().T + Dp @ G @ Dp.conj().T)
+    Mc = None if Dc is None else herm(eye - Dc @ Sc - Sc.conj().T @ Dc.conj().T + Dc @ F @ Dc.conj().T)
+    Mp = None if Dp is None else herm(eye - Dp @ Sp - Sp.conj().T @ Dp.conj().T + Dp @ G @ Dp.conj().T)
     return Mc, Mp
 
 
 def objective_f2(Mc_list, Mp_list, weight_bundles) -> float:
-    """Weighted MSE sum over users with the weights treated as constants."""
+    """Weighted MSE sum over users with the weights treated as constants.
+
+    A term whose weight or MSE matrix is None, a stream skipped at all-private
+    precoders, adds nothing.
+    """
     weight_bundles = list(weight_bundles)  # a stacked bundle iterates per user
     if not (len(Mc_list) == len(Mp_list) == len(weight_bundles)):
         raise ValueError("per-user list lengths disagree")
     total = 0.0 + 0.0j
     for Mc, Mp, w in zip(Mc_list, Mp_list, weight_bundles):
-        total += np.trace(w.Wc @ Mc) + np.trace(w.Wp @ Mp)
+        total += sum(np.trace(W @ M) for W, M in ((w.Wc, Mc), (w.Wp, Mp)) if W is not None and M is not None)
     return checked_real(total)

@@ -4,8 +4,10 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -441,17 +443,67 @@ assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))
 cfg = evaluate.ExperimentConfig(M=4, N=1, K=2, snr_db_grid=(0.0, 20.0), sigma_e2_grid=(0.2,), draws=3,
                                 schemes=("proposed", "rwmmse", "mrt"), seed=11, timing=False)
 serial = evaluate.csv_text(evaluate.run_experiment(cfg))
-assert "concurrent.futures" not in sys.modules
 pooled = evaluate.csv_text(evaluate.run_experiment(replace(cfg, workers=2)))
-assert "concurrent.futures" in sys.modules
+assert not {"concurrent.futures", "multiprocessing"} & set(sys.modules)
 assert pooled == serial
 """
 
 
 def test_design_stack_imports_without_pool_parser_or_git():
     # the design path, in-process sweeps and the CLI module load no process
-    # pool, argument parser or subprocess machinery; a pooled run loads the
-    # pool itself and writes the same bytes
+    # pool, argument parser or subprocess machinery; a run with workers forks
+    # them without loading a pool and writes the same bytes
     env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "design-failure"])
+def test_sweep_reaps_its_workers_and_git_lookup(tmp_path, monkeypatch, fails):
+    # the lookup is started afresh here, beside the run, and collected on
+    # either way out
+    from rsmimo import evaluate
+
+    evaluate.start_version_lookup.cache_clear()
+    evaluate.version_string.cache_clear()
+    if fails:
+        def broken(*args):
+            raise ValueError("planted failure")
+
+        monkeypatch.setattr(evaluate, "draw_channels", broken)
+    assert run_cli(*sweep_args(tmp_path, "--workers", "2")) == (2 if fails else 0)
+    head = evaluate.start_version_lookup()
+    assert head is not None and head.returncode is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ctrl_c_leaves_no_worker_or_git_process(tmp_path):
+    # Ctrl-C reaches the whole foreground process group: the sweep, its
+    # forked workers and the git lookup; once the sweep has exited, no
+    # process of its group is left
+    env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "rsmimo.cli", "sweep", "--snr-db", "0:10:40", "--draws", "200",
+            "--workers", "2", "--out-dir", str(tmp_path)]
+    proc = subprocess.Popen(argv, env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+
+    def workers():  # children other than the git lookup
+        return [c for c in children.read_text().split() if Path(f"/proc/{c}/comm").read_text().strip() != "git"]
+
+    try:
+        deadline = time.monotonic() + 60
+        while not workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert workers(), "the sweep forked no worker within 60 s"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert "KeyboardInterrupt" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 import subprocess
 from dataclasses import replace
 
@@ -82,10 +85,10 @@ def test_schemes_share_the_same_channel_draw():
 
 def test_results_identical_across_worker_counts():
     texts = []
-    for workers in (1, 2):
-        result = run_experiment(small_config(workers=workers))
+    for workers in (1, 2, 3, 32):  # 32 is capped at one share per item
+        result = run_experiment(small_config(draws=5, workers=workers))
         texts.append((csv_text(result), json_summary(result)))
-    assert texts[0] == texts[1]
+    assert texts[1:] == texts[:1] * 3
 
 
 def test_fingerprint_excludes_workers_but_keeps_model_fields():
@@ -123,12 +126,44 @@ def test_csv_layout_and_zeroed_timing(tmp_path):
     assert len(payload["cells"]) == len(result.cells)
 
 
-def test_version_string_falls_back_when_git_hangs(monkeypatch):
-    def hang(argv, **kwargs):
-        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+class FakeGit:
+    """A stand-in for the git lookup's Popen: hangs, or ends with a return code and output."""
 
-    monkeypatch.setattr(subprocess, "run", hang)
+    def __init__(self, returncode=0, out="abc1234\n", hang=False):
+        self.returncode, self.out, self.hang, self.killed = returncode, out, hang, False
+
+    def communicate(self, timeout=None):
+        if self.hang and not self.killed:
+            raise subprocess.TimeoutExpired("git", timeout)
+        return self.out, None
+
+    def kill(self):
+        self.killed = True
+
+
+def test_version_string_falls_back_when_git_hangs(monkeypatch):
+    head = FakeGit(hang=True)
+    monkeypatch.setattr(evaluate, "start_version_lookup", lambda: head)
     assert version_string.__wrapped__() == rsmimo.__version__  # past the cache
+    assert head.killed
+
+
+@pytest.mark.parametrize("head, version", [
+    (FakeGit(), rsmimo.__version__ + "+gabc1234"),
+    (FakeGit(returncode=128, out=""), rsmimo.__version__),  # not in a repository
+    (None, rsmimo.__version__),  # no git to start
+], ids=["commit", "no-repository", "no-git"])
+def test_version_string_adds_the_commit_git_gives(monkeypatch, head, version):
+    monkeypatch.setattr(evaluate, "start_version_lookup", lambda: head)
+    assert version_string.__wrapped__() == version
+
+
+def test_version_lookup_without_git_starts_nothing(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "Popen", missing)
+    assert evaluate.start_version_lookup.__wrapped__() is None
 
 
 def test_summary_cells_are_keyed_on_grid_indices():
@@ -268,23 +303,105 @@ def test_integer_fields_are_named_when_rejected_and_coerced_when_accepted():
 
 
 def test_pool_is_no_larger_than_the_grid(monkeypatch):
-    # a stand-in for the process pool that records its size and runs the
-    # items on threads, each started only when an item needs it
-    from concurrent.futures import ThreadPoolExecutor
+    # a run forks one child per share beyond this process's own, and no more
+    # shares than work items; a one-item grid runs in-process
+    forks = []
+    real_fork = os.fork
 
-    sizes = []
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", counting_fork)
     one_item = small_config(draws=1, schemes=("mrt",))
     texts = [csv_text(run_experiment(replace(one_item, workers=w))) for w in (1, 32)]
-    run_experiment(small_config(draws=4, schemes=("mrt",), workers=2))
-    assert sizes == [2]  # the one-item grid runs in-process, with no pool
-    assert texts[0] == texts[1]
+    assert forks == [] and texts[0] == texts[1]
+    four_items = small_config(draws=4, schemes=("mrt",))
+    for workers, children in ((2, 1), (3, 2), (32, 3)):
+        forks.clear()
+        assert csv_text(run_experiment(replace(four_items, workers=workers))) == csv_text(run_experiment(four_items))
+        assert forks == [os.getpid()] * children
+    _assert_no_children()
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after 60 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the run did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _plant_failures(monkeypatch, draws):
+    """Make draw_channels raise a ValueError on the given draws, in whichever process runs them."""
+    real = evaluate.draw_channels
+
+    def planted(cfg, sigma_idx, snr_idx, draw):
+        if draw in draws:
+            raise ValueError("planted failure")
+        return real(cfg, sigma_idx, snr_idx, draw)
+
+    monkeypatch.setattr(evaluate, "draw_channels", planted)
+
+
+@pytest.mark.parametrize("workers, failing", [
+    (2, {1, 2}),  # earliest in the child's share (items 1, 3), a later one in this process's (0, 2)
+    (2, {0, 3}),  # earliest in this process's share
+    (3, {4, 5}),  # the second items of shares 1 and 2
+    (3, {2, 3}),  # the last share fails before this process's second item does
+], ids=["child-first", "parent-first", "second-items", "last-share-first"])
+def test_a_child_failure_reraises_the_earliest_failing_item(monkeypatch, deadline, workers, failing):
+    _plant_failures(monkeypatch, failing)
+    cfg = small_config(draws=6, schemes=("mrt",))
+    with pytest.raises(ValueError) as serial:
+        run_experiment(cfg)
+    with pytest.raises(ValueError) as forked:
+        run_experiment(replace(cfg, workers=workers))
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value) == f"sigma_e2=0.3, snr_db=10.0, draw={min(failing)}: planted failure"
+    _assert_no_children()
+
+
+def test_a_killed_child_is_named_not_waited_for(monkeypatch, deadline):
+    real, parent = evaluate.draw_channels, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "draw_channels", dying)
+    with pytest.raises(RuntimeError, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
+        run_experiment(small_config(draws=4, schemes=("mrt",), workers=2))
+    _assert_no_children()
+
+
+def test_a_share_larger_than_the_pipe_buffer_completes(deadline):
+    # each share pickles to more than the 64 KB a pipe holds, so a child can
+    # finish only once this process has started reading its pipe
+    cfg = small_config(snr_db_grid=(0.0, 10.0), draws=800, schemes=("mrt",))
+    serial = run_experiment(cfg)
+    assert len(pickle.dumps(serial.records[1::2])) > 65536
+    forked = run_experiment(replace(cfg, workers=2))
+    assert csv_text(forked) == csv_text(serial) and json_summary(forked) == json_summary(serial)
+    _assert_no_children()
+
+
+def test_workers_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="workers=2 needs os.fork"):
+        small_config(workers=2)
+    assert small_config(workers=1).workers == 1
 
 
 def test_empirical_cdf_matches_sort_count_oracle():

@@ -567,6 +567,22 @@ def test_objective_f2_at_matched_point_is_constant():
         assert val == pytest.approx(2 * (4 + 1), rel=1e-12)
 
 
+def test_objective_f2_at_all_private_precoders_is_the_private_weighted_mse_sum():
+    # Pc = 0: the bundles skip the common stream, and so do the surrogate's
+    # common MSE matrices and its common terms
+    rng = make_rng(20)
+    H_hat, s2 = random_instance(rng)
+    P = random_precoders(rng, t=1.0)
+    assert not P.Pc.any()
+    bundles = all_bundles(H_hat, s2, P, 1.0)
+    wb = weights(bundles)
+    Mc_list, Mp_list = zip(*(mse_at_filters(H_hat[k], s2[k], P, 1.0, k, b.Dc, b.Dp) for k, b in enumerate(bundles)))
+    assert Mc_list == (None,) * 4
+    private_sum = sum(np.trace(w.Wp @ b.Mp_mmse) for w, b in zip(wb, bundles)).real
+    assert objective_f2(Mc_list, Mp_list, wb) == pytest.approx(private_sum, rel=1e-12)
+    assert private_sum == pytest.approx(2 * 4, rel=1e-12)  # N K at the matched point
+
+
 def test_objective_f2_rejects_complex_residue_and_bad_lengths():
     from rsmimo.rates import WeightBundle
 
