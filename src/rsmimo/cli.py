@@ -15,12 +15,12 @@ from .evaluate import (
     CSIT_MODES,
     SIGMA_N2,
     ExperimentConfig,
+    WorkerDied,
     csv_text,
     draw_channels,
     empirical_cdf,
     json_summary,
     run_experiment,
-    start_version_lookup,
     version_string,
 )
 from .solver import SolverConfig, run
@@ -179,22 +179,9 @@ def _write(out: Path, fmt: str, texts: dict):
             print(f"wrote {out / name}")
 
 
-def _run(cfg: ExperimentConfig):
-    """run_experiment with the git version lookup running beside it.
-
-    The lookup starts before run_experiment forks its workers and is
-    collected on every way out, so no git process outlives the command.
-    """
-    start_version_lookup()
-    try:
-        return run_experiment(cfg)
-    finally:
-        version_string()
-
-
 def _cmd_sweep(args) -> int:
     res = _resolve(args)
-    result = _run(_experiment_config(res))
+    result = run_experiment(_experiment_config(res))
     for cell in result.cells:
         sig = "quantized" if cell.sigma_e2 is None else f"{cell.sigma_e2:g}"
         esr = "no draws" if cell.esr_bits is None else f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits"
@@ -242,7 +229,7 @@ def _cmd_converge(args) -> int:
 def _cmd_cdf(args) -> int:
     res = _resolve(args)
     cfg, snr, sigma_e2 = _one_point(res, "cdf")
-    result = _run(cfg)
+    result = run_experiment(cfg)
     lines = ["scheme,sum_rate_bits,prob"]
     summary = {}
     for scheme in cfg.schemes:
@@ -310,6 +297,11 @@ def build_parser():
 
 
 def parse_and_run(argv) -> int:
+    """Run one command line and return its exit code.
+
+    0 success, 1 self-test failure, 2 invalid usage or configuration, 3 a
+    numerical failure inside a run or a worker that died.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -319,6 +311,9 @@ def parse_and_run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerDied as exc:  # before RuntimeError, of which it is a kind
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 3
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,12 @@ designs each other share, sends its pickled outputs back through its own
 pipe and leaves with os._exit. The children inherit the config and the
 items, so only outputs cross a pipe, and the outputs are put back in item
 order. A share stops at its first failing item; the earliest failing item of
-the grid is re-raised. os.fork is required for workers > 1.
+the grid is re-raised, and a child that dies without sending its outputs
+raises WorkerDied. os.fork is required for workers > 1.
+
+csv_text and json_summary stamp their text with version_string(), which runs
+git once per process, when the first stamp is needed: a run itself starts no
+process but its share workers.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -225,6 +229,10 @@ def _item_args(cfg: ExperimentConfig):
                 yield (cfg, sigma_idx, snr_idx, draw)
 
 
+class WorkerDied(RuntimeError):
+    """A share worker ended without sending its outputs: killed, or exited early."""
+
+
 def _run_share(share):
     """_run_draw's outputs over a share's items in order, and the exception of
     its first failing item, which ends the share (None when every item ran)."""
@@ -263,8 +271,8 @@ def _fork_share(share):
 def _run_items(items, workers):
     """_run_draw's output for every item, in item order, from W interleaved shares.
 
-    A child that ends without sending its share raises a RuntimeError naming
-    the share and how the child ended. On any error or interrupt, the children
+    A child that ends without sending its share raises WorkerDied naming the
+    share and how the child ended. On any error or interrupt, the children
     not yet collected are killed; every child is reaped before this returns.
     """
     W = min(workers, len(items))
@@ -281,7 +289,7 @@ def _run_items(items, workers):
             del children[w]
             if code:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
+                raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
             shares.append(pickle.loads(data))
     finally:
         if children:  # after an error or an interrupt only
@@ -371,43 +379,26 @@ def empirical_cdf(samples):
 
 
 @lru_cache(maxsize=1)
-def start_version_lookup():
-    """Start `git rev-parse --short HEAD` in the package's directory without waiting for it.
+def version_string() -> str:
+    """__version__, plus +g and the git commit when this package is src/rsmimo of a checkout.
 
-    Returns the running process, or None where git cannot be started. The
-    first call starts the process's one lookup and version_string() collects
-    it, so a caller that starts it early does not wait for git later.
+    The first call runs `git rev-parse` in the package's directory and waits
+    for it (5 s at most); later calls reuse its answer. A copy of the package
+    elsewhere in some repository, for example in a virtualenv inside a
+    project, gets __version__ alone, as it does without git or outside any
+    repository.
     """
     import subprocess  # loaded only to ask git for the commit
 
+    package_dir = os.path.dirname(os.path.realpath(__file__))
     try:
-        return subprocess.Popen(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-    except OSError:
-        return None
-
-
-@lru_cache(maxsize=1)
-def version_string() -> str:
-    """__version__, plus +g and the git commit when the package sits in a repository."""
-    import subprocess
-
-    head = start_version_lookup()
-    if head is not None:
-        try:
-            out, _ = head.communicate(timeout=5)
-        except subprocess.TimeoutExpired:
-            head.kill()
-            head.communicate()
-        else:
-            if head.returncode == 0:
-                return f"{__version__}+g{out.strip()}"
-    return __version__
+        git = subprocess.run(["git", "rev-parse", "--show-prefix", "--short", "HEAD"], cwd=package_dir,
+                             capture_output=True, text=True, timeout=5)  # run kills git at the timeout
+    except (OSError, subprocess.TimeoutExpired):
+        return __version__
+    prefix, _, head = git.stdout.partition("\n")  # the package's path in the repository, then the commit
+    checkout = git.returncode == 0 and prefix == "src/rsmimo/"
+    return f"{__version__}+g{head.strip()}" if checkout else __version__
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> dict:

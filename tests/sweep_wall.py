@@ -10,6 +10,11 @@ into a temporary directory. Each pair runs the `snr_sweep` command line of
 with one BLAS thread, as in the benchmark. A pair's wall time runs from
 starting the interpreter to its exit.
 
+Both sides compile rsmimo on every run, as the benchmark's fresh checkouts
+do: each runs from a copy of its src/ without __pycache__ (this tree's src/
+is copied too), with PYTHONDONTWRITEBYTECODE=1. numpy and the standard
+library keep their cached bytecode.
+
 It prints every pair, each side's median wall time and quartiles, draws/s at
 the median, how many pairs this tree won, and whether each pair's two CSVs
 match outside the `solver_seconds` column and the version line. It exits 1
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -82,10 +88,22 @@ def unpack(rev, dest: Path) -> Path:
     return root
 
 
+def copy_src(root: Path, dest: Path) -> Path:
+    """root/src copied to dest/src without any __pycache__; returns dest."""
+    shutil.copytree(root / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def sweep_env(root: Path) -> dict:
+    """The environment of a sweep run from root/src: one BLAS thread, and no bytecode written."""
+    return dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONDONTWRITEBYTECODE="1")
+
+
 def timed_sweep(root: Path, out_dir: Path, seed) -> tuple:
     """(wall seconds, CSV text) of one sweep run from root/src."""
     out_dir.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = sweep_env(root)
     start = time.perf_counter()
     proc = subprocess.run(sweep_argv(sys.executable, out_dir, seed), env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -106,7 +124,8 @@ def main(argv=None) -> int:
     pairs, same = [], True
     with tempfile.TemporaryDirectory(prefix="sweep-wall-") as tmp:
         tmp = Path(tmp)
-        sides = {"rev": unpack(args.rev, tmp), "tree": ROOT}
+        sides = {"rev": unpack(args.rev, tmp), "tree": copy_src(ROOT, tmp / "tree")}
+        print("both sides: src/ without __pycache__ and PYTHONDONTWRITEBYTECODE=1, so every run compiles rsmimo")
         for i in range(args.pairs):
             seed = args.seed * 1000 + i
             order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")

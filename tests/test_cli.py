@@ -4,6 +4,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -458,13 +459,27 @@ def test_design_stack_imports_without_pool_parser_or_git():
     assert proc.returncode == 0, proc.stderr
 
 
+def _no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)  # reaps a zombie, so a worker left unreaped shows
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "design-failure"])
-def test_sweep_reaps_its_workers_and_git_lookup(tmp_path, monkeypatch, fails):
-    # the lookup is started afresh here, beside the run, and collected on
-    # either way out
+def test_sweep_reaps_its_workers_and_runs_git_only_to_write(tmp_path, monkeypatch, fails):
+    # git runs once, for the version stamp of the files, after the workers
+    # are reaped; a run that fails before writing starts no git process
     from rsmimo import evaluate
 
-    evaluate.start_version_lookup.cache_clear()
+    real, started = subprocess.run, []
+
+    def spy(argv, **kwargs):
+        started.append((argv[0], _no_child_left()))
+        return real(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
     evaluate.version_string.cache_clear()
     if fails:
         def broken(*args):
@@ -472,16 +487,34 @@ def test_sweep_reaps_its_workers_and_git_lookup(tmp_path, monkeypatch, fails):
 
         monkeypatch.setattr(evaluate, "draw_channels", broken)
     assert run_cli(*sweep_args(tmp_path, "--workers", "2")) == (2 if fails else 0)
-    head = evaluate.start_version_lookup()
-    assert head is not None and head.returncode is not None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert started == ([] if fails else [("git", True)])
+    assert _no_child_left()
+
+
+def test_a_dead_worker_exits_3_as_a_worker_failure(tmp_path, monkeypatch, capsys):
+    from rsmimo import evaluate
+
+    real, parent = evaluate.draw_channels, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:  # the share-1 worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "draw_channels", dying)
+    assert run_cli(*sweep_args(tmp_path, "--workers", "2")) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"worker failure: worker of share 1 of 2 \(pid \d+\) was killed by signal 9 before sending its outputs\n", err
+    ), err
+    assert list(tmp_path.iterdir()) == []
+    assert _no_child_left()
 
 
 def test_ctrl_c_leaves_no_worker_or_git_process(tmp_path):
-    # Ctrl-C reaches the whole foreground process group: the sweep, its
-    # forked workers and the git lookup; once the sweep has exited, no
-    # process of its group is left
+    # Ctrl-C reaches the whole foreground process group: the sweep and its
+    # forked workers (git runs only once the files are written); once the
+    # sweep has exited, no process of its group is left
     env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     argv = [sys.executable, "-m", "rsmimo.cli", "sweep", "--snr-db", "0:10:40", "--draws", "200",
             "--workers", "2", "--out-dir", str(tmp_path)]
@@ -489,14 +522,11 @@ def test_ctrl_c_leaves_no_worker_or_git_process(tmp_path):
                             stderr=subprocess.PIPE, text=True)
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
 
-    def workers():  # children other than the git lookup
-        return [c for c in children.read_text().split() if Path(f"/proc/{c}/comm").read_text().strip() != "git"]
-
     try:
         deadline = time.monotonic() + 60
-        while not workers() and time.monotonic() < deadline:
+        while not children.read_text() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert workers(), "the sweep forked no worker within 60 s"
+        assert children.read_text(), "the sweep forked no worker within 60 s"
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=60)
     finally:

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -126,44 +128,86 @@ def test_csv_layout_and_zeroed_timing(tmp_path):
     assert len(payload["cells"]) == len(result.cells)
 
 
-class FakeGit:
-    """A stand-in for the git lookup's Popen: hangs, or ends with a return code and output."""
+GIT_ARGV = ["git", "rev-parse", "--show-prefix", "--short", "HEAD"]
+PACKAGE_DIR = os.path.dirname(os.path.realpath(evaluate.__file__))
 
-    def __init__(self, returncode=0, out="abc1234\n", hang=False):
-        self.returncode, self.out, self.hang, self.killed = returncode, out, hang, False
 
-    def communicate(self, timeout=None):
-        if self.hang and not self.killed:
-            raise subprocess.TimeoutExpired("git", timeout)
-        return self.out, None
+def fake_git(monkeypatch, returncode=0, stdout="src/rsmimo/\nabc1234\n", raises=None):
+    """Stand in for subprocess.run: git ends with a return code and output, or run raises.
 
-    def kill(self):
-        self.killed = True
+    Returns the list of (argv, keyword arguments) of the calls.
+    """
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        if raises is not None:
+            raise raises
+        return subprocess.CompletedProcess(argv, returncode, stdout, "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
 
 
 def test_version_string_falls_back_when_git_hangs(monkeypatch):
-    head = FakeGit(hang=True)
-    monkeypatch.setattr(evaluate, "start_version_lookup", lambda: head)
+    # subprocess.run kills git once its timeout expires and raises TimeoutExpired
+    calls = fake_git(monkeypatch, raises=subprocess.TimeoutExpired(GIT_ARGV, 5))
     assert version_string.__wrapped__() == rsmimo.__version__  # past the cache
-    assert head.killed
+    assert [kwargs["timeout"] for _, kwargs in calls] == [5]
 
 
-@pytest.mark.parametrize("head, version", [
-    (FakeGit(), rsmimo.__version__ + "+gabc1234"),
-    (FakeGit(returncode=128, out=""), rsmimo.__version__),  # not in a repository
-    (None, rsmimo.__version__),  # no git to start
-], ids=["commit", "no-repository", "no-git"])
-def test_version_string_adds_the_commit_git_gives(monkeypatch, head, version):
-    monkeypatch.setattr(evaluate, "start_version_lookup", lambda: head)
+@pytest.mark.parametrize("git, version", [
+    (dict(), rsmimo.__version__ + "+gabc1234"),
+    (dict(returncode=128, stdout=""), rsmimo.__version__),  # not in a repository
+    (dict(raises=FileNotFoundError("git")), rsmimo.__version__),  # no git to start
+    (dict(stdout="venv/site-packages/rsmimo/\nabc1234\n"), rsmimo.__version__),  # a copy in some repository
+], ids=["commit", "no-repository", "no-git", "other-repository"])
+def test_version_string_adds_the_commit_git_gives(monkeypatch, git, version):
+    calls = fake_git(monkeypatch, **git)
     assert version_string.__wrapped__() == version
+    assert [(argv, kwargs["cwd"]) for argv, kwargs in calls] == [(GIT_ARGV, PACKAGE_DIR)]
 
 
-def test_version_lookup_without_git_starts_nothing(monkeypatch):
-    def missing(*args, **kwargs):
-        raise FileNotFoundError("git")
+def test_version_lookup_without_git_starts_nothing(monkeypatch, tmp_path):
+    monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory: no git to be found
+    assert version_string.__wrapped__() == rsmimo.__version__
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(subprocess, "Popen", missing)
-    assert evaluate.start_version_lookup.__wrapped__() is None
+
+def _git(*args, cwd):
+    env = dict(os.environ, GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1")
+    return subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_version_string_is_this_checkouts_commit():
+    root = os.path.dirname(os.path.dirname(PACKAGE_DIR))
+    try:
+        head = _git("rev-parse", "--short", "HEAD", cwd=root).strip()
+    except subprocess.CalledProcessError:
+        pytest.skip("the package under test is not in a git checkout")
+    assert version_string.__wrapped__() == f"{rsmimo.__version__}+g{head}"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_version_string_ignores_the_commit_of_another_repository(tmp_path):
+    # a copy of the package in a gitignored virtualenv inside an unrelated
+    # project: git answers with the project's commit, which is not this code's
+    project = tmp_path / "project"
+    site = project / "venv" / "site-packages"
+    shutil.copytree(PACKAGE_DIR, site / "rsmimo", ignore=shutil.ignore_patterns("__pycache__"))
+    (project / ".gitignore").write_text("venv/\n")
+    _git("init", "-q", cwd=project)
+    _git("add", ".gitignore", cwd=project)
+    _git("-c", "user.name=a", "-c", "user.email=a@b", "commit", "-q", "-m", "init", cwd=project)
+    git = _git("rev-parse", "--show-prefix", "--short", "HEAD", cwd=site / "rsmimo")
+    assert git.split("\n")[0] == "venv/site-packages/rsmimo/"  # git does answer for the copy
+    env = dict(os.environ, PYTHONPATH=str(site), PYTHONDONTWRITEBYTECODE="1")
+    code = "from rsmimo.evaluate import version_string; print(version_string())"
+    out = subprocess.run([sys.executable, "-c", code], cwd=project, env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == rsmimo.__version__ + "\n"
 
 
 def test_summary_cells_are_keyed_on_grid_indices():
@@ -381,7 +425,7 @@ def test_a_killed_child_is_named_not_waited_for(monkeypatch, deadline):
         return real(*args)
 
     monkeypatch.setattr(evaluate, "draw_channels", dying)
-    with pytest.raises(RuntimeError, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
+    with pytest.raises(evaluate.WorkerDied, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
         run_experiment(small_config(draws=4, schemes=("mrt",), workers=2))
     _assert_no_children()
 

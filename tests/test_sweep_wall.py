@@ -1,9 +1,12 @@
-# Tests of tests/sweep_wall.py's pure helpers: the command line, the CSV mask and the report.
+# Tests of tests/sweep_wall.py's helpers: the command line, the bytecode setting, the CSV mask and the report.
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import pytest
 
-from sweep_wall import ITEMS, masked_csv, quartiles, report, sweep_argv
+from sweep_wall import ITEMS, copy_src, masked_csv, quartiles, report, sweep_argv, sweep_env
 
 CSV = """# config: {"seed": 3}
 # version: 0.1.0+gabc1234
@@ -38,3 +41,19 @@ def test_report_counts_wins_and_takes_medians():
     assert lines[1] == f"tree: median 0.900 s [0.850, 1.000], {ITEMS / 0.9:.1f} draws/s"
     assert lines[2] == "tree won 3/5 pairs; median draws/s ratio tree/rev 1.111"  # a tie counts for neither
     assert quartiles([4, 1, 3, 2]) == pytest.approx((1.75, 2.5, 3.25))
+
+
+def test_each_side_compiles_rsmimo_on_every_run(tmp_path):
+    # a __pycache__ in the tree is not copied, and a run writes none
+    package = tmp_path / "tree" / "src" / "rsmimo"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "__pycache__" / "__init__.cpython-311.pyc").write_bytes(b"stale")
+    (package / "__init__.py").write_text("VALUE = 1\n")
+    root = copy_src(tmp_path / "tree", tmp_path / "copy")
+    assert sorted(p.name for p in (root / "src" / "rsmimo").iterdir()) == ["__init__.py"]
+    env = sweep_env(root)
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["OPENBLAS_NUM_THREADS"] == "1"
+    code = "import sys, rsmimo; print(rsmimo.VALUE, sys.dont_write_bytecode)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "1 True\n"
+    assert sorted(p.name for p in (root / "src" / "rsmimo").iterdir()) == ["__init__.py"]
