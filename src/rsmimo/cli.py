@@ -126,10 +126,8 @@ def _resolve(args):
 
 
 def _checked(key, value):
-    """A config-file value of the flag's type (a float flag also takes an int)."""
+    """A config-file value of the flag's type."""
     kind = type(DEFAULTS[key])
-    if kind is float and type(value) is int:
-        value = float(value)
     if key in LIST_ELEMENTS and isinstance(value, list):
         kinds = LIST_ELEMENTS[key]
         if any(type(v) not in kinds for v in value):

@@ -10,8 +10,10 @@ designs each other share, sends its pickled outputs back through its own
 pipe and leaves with os._exit. The children inherit the config and the
 items, so only outputs cross a pipe, and the outputs are put back in item
 order. A share stops at its first failing item; the earliest failing item of
-the grid is re-raised, and a child that dies without sending its outputs
-raises WorkerDied. os.fork is required for workers > 1.
+the grid is re-raised. A child that dies without sending its outputs raises
+WorkerDied, before this process starts its next item of share 0 or, once
+share 0 is done, when the child's pipe is read. os.fork is required for
+workers > 1.
 
 csv_text and json_summary stamp their text with version_string(), which runs
 git once per process, when the first stamp is needed: a run itself starts no
@@ -233,15 +235,17 @@ class WorkerDied(RuntimeError):
     """A share worker ended without sending its outputs: killed, or exited early."""
 
 
-def _run_share(share):
+def _run_share(share, poll=lambda: None):
     """_run_draw's outputs over a share's items in order, and the exception of
-    its first failing item, which ends the share (None when every item ran)."""
+    its first failing item, which ends the share (None when every item ran).
+    poll runs before each item, outside the capture: what it raises ends the run."""
     outputs = []
-    try:
-        for args in share:
+    for args in share:
+        poll()
+        try:
             outputs.append(_run_draw(*args))
-    except Exception as exc:
-        return outputs, exc
+        except Exception as exc:
+            return outputs, exc
     return outputs, None
 
 
@@ -272,33 +276,52 @@ def _run_items(items, workers):
     """_run_draw's output for every item, in item order, from W interleaved shares.
 
     A child that ends without sending its share raises WorkerDied naming the
-    share and how the child ended. On any error or interrupt, the children
-    not yet collected are killed; every child is reaped before this returns.
+    share and how the child ended; before each of its own items, this process
+    reaps the children that have ended, without waiting for the others. On
+    any error or interrupt, the children not yet reaped are killed; every
+    child is reaped before this returns.
     """
     W = min(workers, len(items))
-    children = {}  # share -> (pid, pipe) until the child is reaped
+    children = {}  # share -> (pid, pipe) until its pipe is read
+    statuses = {}  # share -> wait status, once its child is reaped
+
+    def reap(w, flags=0):
+        """Reap share w's child if not yet reaped (with os.WNOHANG, only once it has ended);
+        raise WorkerDied if it died."""
+        pid = children[w][0]
+        if w not in statuses:
+            done, status = os.waitpid(pid, flags)
+            if not done:
+                return
+            statuses[w] = status
+        code = os.waitstatus_to_exitcode(statuses[w])
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
+
+    def poll():
+        for w in children:
+            reap(w, os.WNOHANG)
+
     try:
         for w in range(1, W):
             children[w] = _fork_share(items[w::W])
-        shares = [_run_share(items[0::W])]
+        shares = [_run_share(items[0::W], poll)]
         for w in range(1, W):
-            pid, pipe = children[w]
-            with pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
+            with children[w][1] as pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
                 data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reap(w)
             del children[w]
-            if code:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
             shares.append(pickle.loads(data))
     finally:
         if children:  # after an error or an interrupt only
             import signal
 
-            for pid, pipe in children.values():
+            for w, (pid, pipe) in children.items():
                 pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if w not in statuses:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     failed = [(w + len(outputs) * W, exc) for w, (outputs, exc) in enumerate(shares) if exc is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]

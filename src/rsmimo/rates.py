@@ -1,4 +1,5 @@
-"""Rate and MSE algebra for rate-splitting transmission under imperfect CSIT.
+"""The design kernel and scoring of rate-splitting transmission under imperfect
+CSIT: MMSE bundles, weights, the design objective and the achieved rates.
 
 Conventions: optimization objectives are in nats, reported rates in bits.
 Hermitian products are explicitly symmetrized when they are formed (Z below,
@@ -213,21 +214,6 @@ def instantaneous_rates(H, P: PrecoderSet, sigma_n2):
     return Rc.tolist(), Rp.tolist(), float(np.min(Rc) + np.sum(Rp))
 
 
-def expectation_quadratic(variances, X):
-    """E[Y^H X Y] for Y with independent zero-mean entries of given variances.
-
-    variances holds the per-entry variance of Y (shape M x N); the result is
-    the N x N diagonal matrix diag(variances^T diag(X)). A uniform variance
-    collapses to sigma^2 tr(X) I.
-    """
-    variances = np.asarray(variances, dtype=float)
-    if np.any(variances < 0):
-        raise ValueError("variances must be non-negative")
-    if X.shape[0] != X.shape[1] or X.shape[0] != variances.shape[0]:
-        raise ValueError("shape mismatch between variances and X")
-    return np.diag(variances.T @ np.diagonal(X))
-
-
 @lru_cache(maxsize=64)
 def _constants(N, K):
     """all_bundles' stacked Y for N x N streams and K users with only its
@@ -289,12 +275,6 @@ def all_bundles(H_hat, sigma_e2, P: PrecoderSet, sigma_n2, private=True) -> MseB
     return MseBundle(Dc, Dp, logdet_c=ldc, logdet_p=ldp, Mc_inv=Mic, Mp_inv=Mip, L22c=L22c, L22p=L22p)
 
 
-def mse_bundle(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k) -> MseBundle:
-    """MMSE filters and error matrices for user k at the given precoders."""
-    K = len(P.Pp)
-    return all_bundles(np.broadcast_to(H_hat_k, (K, *np.shape(H_hat_k))), [sigma_e2_k] * K, P, sigma_n2)[k]
-
-
 def f1_from_bundles(bundles: MseBundle) -> float:
     """Smoothed max of common log-det MSEs plus the private log-det sum, in nats.
 
@@ -322,42 +302,3 @@ def weights(bundles: MseBundle) -> WeightBundle:
         return WeightBundle(Wc=None, Wp=bundles.Mp_inv, mu=None)
     mu = np.exp(lc - logsumexp(lc))
     return WeightBundle(Wc=mu[:, None, None] * bundles.Mc_inv, Wp=bundles.Mp_inv, mu=mu)
-
-
-def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
-    """Conditional-expected MSE matrices for user k at arbitrary receive filters.
-
-    The CSIT-error expectation is resolved through expectation_quadratic, so
-    the quadratic filter terms reuse exactly the F/G noise-floor structure.
-    A stream whose filter is None, as a bundle holds for a stream it skipped,
-    gets None for its MSE matrix.
-    """
-    M, N = H_hat_k.shape
-    eye = np.eye(N)
-    var = np.full((M, N), float(sigma_e2_k))
-    Pfull = P.full()
-    Ppriv = P.private()
-    Tf = Pfull @ Pfull.conj().T
-    Tp = Ppriv @ Ppriv.conj().T
-    F = herm(H_hat_k.conj().T @ Tf @ H_hat_k) + expectation_quadratic(var, Tf) + sigma_n2 * eye
-    G = herm(H_hat_k.conj().T @ Tp @ H_hat_k) + expectation_quadratic(var, Tp) + sigma_n2 * eye
-    Sc = H_hat_k.conj().T @ P.Pc
-    Sp = H_hat_k.conj().T @ P.Pp[k]
-    Mc = None if Dc is None else herm(eye - Dc @ Sc - Sc.conj().T @ Dc.conj().T + Dc @ F @ Dc.conj().T)
-    Mp = None if Dp is None else herm(eye - Dp @ Sp - Sp.conj().T @ Dp.conj().T + Dp @ G @ Dp.conj().T)
-    return Mc, Mp
-
-
-def objective_f2(Mc_list, Mp_list, weight_bundles) -> float:
-    """Weighted MSE sum over users with the weights treated as constants.
-
-    A term whose weight or MSE matrix is None, a stream skipped at all-private
-    precoders, adds nothing.
-    """
-    weight_bundles = list(weight_bundles)  # a stacked bundle iterates per user
-    if not (len(Mc_list) == len(Mp_list) == len(weight_bundles)):
-        raise ValueError("per-user list lengths disagree")
-    total = 0.0 + 0.0j
-    for Mc, Mp, w in zip(Mc_list, Mp_list, weight_bundles):
-        total += sum(np.trace(W @ M) for W, M in ((w.Wc, Mc), (w.Wp, Mp)) if W is not None and M is not None)
-    return checked_real(total)

@@ -2,10 +2,14 @@
 
 Each check is a pure function of its seed and sizes, returning a CheckResult;
 run_all executes the whole battery and prints one pass/fail line per check.
+The weighted-MSE surrogate that the gradient check compares the design
+objective with lives here too, since nothing else uses it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -17,11 +21,9 @@ from .rates import (
     PrecoderSet,
     all_bundles,
     checked_real,
+    herm,
     instantaneous_rates,
-    mse_at_filters,
-    mse_bundle,
     objective_f1,
-    objective_f2,
     weights,
 )
 from .solver import T_CLAMP, SolverConfig, run, solve_p1, solve_p2, solve_p3
@@ -35,6 +37,78 @@ class CheckResult:
     seconds: float
 
 
+def _check(name, seconds=math.inf):
+    """Decorator: a check body that returns (passed, detail) becomes a check
+    that returns the CheckResult called name. The body is timed, and a check
+    whose body runs for seconds or longer fails, whatever the body returned."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            start = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            elapsed = time.perf_counter() - start
+            return CheckResult(name, bool(passed) and elapsed < seconds, detail, elapsed)
+
+        return check
+
+    return decorate
+
+
+def expectation_quadratic(variances, X):
+    """E[Y^H X Y] for Y with independent zero-mean entries of given variances.
+
+    variances holds the per-entry variance of Y (shape M x N); the result is
+    the N x N diagonal matrix diag(variances^T diag(X)). A uniform variance
+    collapses to sigma^2 tr(X) I.
+    """
+    variances = np.asarray(variances, dtype=float)
+    if np.any(variances < 0):
+        raise ValueError("variances must be non-negative")
+    if X.shape[0] != X.shape[1] or X.shape[0] != variances.shape[0]:
+        raise ValueError("shape mismatch between variances and X")
+    return np.diag(variances.T @ np.diagonal(X))
+
+
+def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
+    """Conditional-expected MSE matrices for user k at arbitrary receive filters.
+
+    The CSIT-error expectation is resolved through expectation_quadratic, so
+    the quadratic filter terms reuse exactly the F/G noise-floor structure.
+    A stream whose filter is None, as a bundle holds for a stream it skipped,
+    gets None for its MSE matrix.
+    """
+    M, N = H_hat_k.shape
+    eye = np.eye(N)
+    var = np.full((M, N), float(sigma_e2_k))
+    Pfull = P.full()
+    Ppriv = P.private()
+    Tf = Pfull @ Pfull.conj().T
+    Tp = Ppriv @ Ppriv.conj().T
+    F = herm(H_hat_k.conj().T @ Tf @ H_hat_k) + expectation_quadratic(var, Tf) + sigma_n2 * eye
+    G = herm(H_hat_k.conj().T @ Tp @ H_hat_k) + expectation_quadratic(var, Tp) + sigma_n2 * eye
+    Sc = H_hat_k.conj().T @ P.Pc
+    Sp = H_hat_k.conj().T @ P.Pp[k]
+    Mc = None if Dc is None else herm(eye - Dc @ Sc - Sc.conj().T @ Dc.conj().T + Dc @ F @ Dc.conj().T)
+    Mp = None if Dp is None else herm(eye - Dp @ Sp - Sp.conj().T @ Dp.conj().T + Dp @ G @ Dp.conj().T)
+    return Mc, Mp
+
+
+def objective_f2(Mc_list, Mp_list, weight_bundles) -> float:
+    """Weighted MSE sum over users with the weights treated as constants.
+
+    A term whose weight or MSE matrix is None, a stream skipped at all-private
+    precoders, adds nothing.
+    """
+    weight_bundles = list(weight_bundles)  # a stacked bundle iterates per user
+    if not (len(Mc_list) == len(Mp_list) == len(weight_bundles)):
+        raise ValueError("per-user list lengths disagree")
+    total = 0.0 + 0.0j
+    for Mc, Mp, w in zip(Mc_list, Mp_list, weight_bundles):
+        total += sum(np.trace(W @ M) for W, M in ((w.Wc, Mc), (w.Wp, Mp)) if W is not None and M is not None)
+    return checked_real(total)
+
+
 def _random_precoders(rng, M, N, K, rho) -> PrecoderSet:
     Pc = channels.complex_gaussian(rng, (M, N))
     Pp = [channels.complex_gaussian(rng, (M, N)) for _ in range(K)]
@@ -43,9 +117,9 @@ def _random_precoders(rng, M, N, K, rho) -> PrecoderSet:
     return PrecoderSet(Pc=s * Pc, Pp=[s * Q for Q in Pp], rho=float(rho))
 
 
-def check_mmse_inverse_identity(seed=0, instances=1000) -> CheckResult:
+@_check("mmse-inverse-identity", seconds=10.0)
+def check_mmse_inverse_identity(seed=0, instances=1000):
     """Inverse MMSE matrix equals identity plus the generalized SINR matrix."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     N = 2
@@ -57,7 +131,7 @@ def check_mmse_inverse_identity(seed=0, instances=1000) -> CheckResult:
         H_hat = [channels.complex_gaussian(rng, (M, N)) for _ in range(K)]
         P = _random_precoders(rng, M, N, K, rho)
         k = int(rng.integers(K))
-        b = mse_bundle(H_hat[k], sig2, P, 1.0, k)
+        b = all_bundles(H_hat, [sig2] * K, P, 1.0)[k]
         Hh = H_hat[k]
         Ppriv = P.private()
         Sc = Hh.conj().T @ P.Pc
@@ -73,24 +147,16 @@ def check_mmse_inverse_identity(seed=0, instances=1000) -> CheckResult:
             lhs = np.linalg.inv(Mz)
             rel = np.linalg.norm(lhs - np.eye(N) - sinr) / np.linalg.norm(lhs)
             worst = max(worst, float(rel))
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "mmse-inverse-identity",
-        worst <= 1e-8 and elapsed < 10.0,
-        f"worst rel err {worst:.2e} over {instances} instances in {elapsed:.1f}s",
-        elapsed,
-    )
+    return worst <= 1e-8, f"worst rel err {worst:.2e} over {instances} instances"
 
 
-def check_quadratic_expectation(seed=1, draws=200_000) -> CheckResult:
+@_check("quadratic-expectation")
+def check_quadratic_expectation(seed=1, draws=200_000):
     """Monte Carlo mean of Y^H X Y matches the closed-form diagonal expectation."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N = 4, 2
     ok = True
     details = []
-    from .rates import expectation_quadratic
-
     for label, variances in (
         ("uniform", np.full((M, N), 0.5)),
         ("varying", rng.uniform(0.05, 1.0, size=(M, N))),
@@ -111,8 +177,7 @@ def check_quadratic_expectation(seed=1, draws=200_000) -> CheckResult:
         case_ok = np.all(d_re <= 3.0 * se_re + 1e-12) and np.all(d_im <= 3.0 * se_im + 1e-12)
         ok = ok and bool(case_ok)
         details.append(f"{label} max |err|/se {max(np.max(d_re/ (se_re+1e-300)), np.max(d_im/(se_im+1e-300))):.2f}")
-    elapsed = time.perf_counter() - start
-    return CheckResult("quadratic-expectation", ok, "; ".join(details), elapsed)
+    return ok, "; ".join(details)
 
 
 def _fd_gradient(fun, P0: PrecoderSet, h=1e-6):
@@ -136,9 +201,9 @@ def _fd_gradient(fun, P0: PrecoderSet, h=1e-6):
     return np.concatenate(grads, axis=1)
 
 
-def check_gradient_equality(seed=2, points=10) -> CheckResult:
+@_check("gradient-equality", seconds=60.0)
+def check_gradient_equality(seed=2, points=10):
     """Gradients of the smoothed objective and its weighted-MSE surrogate agree."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N, K = 4, 2, 3
     rho, sn2 = 31.6, 1.0
@@ -164,18 +229,12 @@ def check_gradient_equality(seed=2, points=10) -> CheckResult:
         g1 = _fd_gradient(f1, P0)
         g2 = _fd_gradient(f2, P0)
         worst = max(worst, float(np.max(np.abs(g1 - g2)) / np.max(np.abs(g1))))
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "gradient-equality",
-        worst <= 1e-5 and elapsed < 60.0,
-        f"worst coordinate rel diff {worst:.2e} over {points} points in {elapsed:.1f}s",
-        elapsed,
-    )
+    return worst <= 1e-5, f"worst coordinate rel diff {worst:.2e} over {points} points"
 
 
-def check_descent(seed=3, runs=100) -> CheckResult:
+@_check("descent")
+def check_descent(seed=3, runs=100):
     """Objective trace never increases; convergence behavior within budget."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N, K = 8, 2, 4
     rho = 10.0 ** (20.0 / 10.0)
@@ -192,18 +251,12 @@ def check_descent(seed=3, runs=100) -> CheckResult:
             converged_fast += 1
     med = float(np.median(iters))
     ok = increases == 0 and converged_fast >= 0.95 * runs and med <= 30.0
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "descent",
-        ok,
-        f"increases={increases}, {converged_fast}/{runs} converged <50 iters, median {med:.0f}",
-        elapsed,
-    )
+    return ok, f"increases={increases}, {converged_fast}/{runs} converged <50 iters, median {med:.0f}"
 
 
-def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult:
+@_check("split-root")
+def check_split_root(seed=4, iterates=100, grid_points=1_000_000):
     """Bisection root of the power-split derivative matches a dense grid scan."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N, K = 8, 2, 4
     rho, sn2 = 100.0, 1.0
@@ -246,18 +299,12 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000) -> CheckResult
         if flag:
             sign_ok = False
     ok = sign_ok and interior == iterates and worst_gap <= gate
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "split-root",
-        ok,
-        f"{interior}/{iterates} interior roots, worst |bisect-grid| {worst_gap:.2e}",
-        elapsed,
-    )
+    return ok, f"{interior}/{iterates} interior roots, worst |bisect-grid| {worst_gap:.2e}"
 
 
-def check_power_conservation(seed=5, runs=50) -> CheckResult:
+@_check("power-conservation")
+def check_power_conservation(seed=5, runs=50):
     """Every emitted precoder set carries exactly the power budget."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     from .baselines import design_precoders
 
@@ -272,14 +319,12 @@ def check_power_conservation(seed=5, runs=50) -> CheckResult:
         for scheme in ("proposed", "rwmmse", "mrt"):
             P, _, _, _ = design_precoders(scheme, chans.H_hat, chans.sigma_e2, rho, 1.0, SolverConfig())
             worst = max(worst, abs(P.power() - rho) / rho)
-    ok = worst <= 1e-9
-    elapsed = time.perf_counter() - start
-    return CheckResult("power-conservation", ok, f"worst relative deviation {worst:.2e}", elapsed)
+    return worst <= 1e-9, f"worst relative deviation {worst:.2e}"
 
 
-def check_rate_ordering(seed=6, draws=200, workers=1) -> CheckResult:
+@_check("rate-ordering", seconds=900.0)
+def check_rate_ordering(seed=6, draws=200, workers=1):
     """Scheme ordering and saturation across the SNR sweep."""
-    start = time.perf_counter()
     cfg = ExperimentConfig(
         M=8,
         N=2,
@@ -317,13 +362,12 @@ def check_rate_ordering(seed=6, draws=200, workers=1) -> CheckResult:
     mrt30 = rates_of("mrt", 30.0).mean()
     ok = ok and mrt30 < rw[30.0] and mrt30 < rates_of("proposed", 30.0).mean()
     msgs.append(f"mrt @30dB {mrt30:.2f}")
-    elapsed = time.perf_counter() - start
-    return CheckResult("rate-ordering", ok and elapsed < 900.0, "; ".join(msgs), elapsed)
+    return ok, "; ".join(msgs)
 
 
-def check_perfect_csit(seed=7, pairs=50) -> CheckResult:
+@_check("perfect-csit")
+def check_perfect_csit(seed=7, pairs=50):
     """With exact channel knowledge the design collapses to the all-private one."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N, K = 8, 2, 4
     rho = 100.0
@@ -340,18 +384,12 @@ def check_perfect_csit(seed=7, pairs=50) -> CheckResult:
     esr_gap = abs(float(np.mean(diffs)))
     med_common = float(np.median(common_frac))
     ok = esr_gap <= 0.1 and med_common <= 0.05
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "perfect-csit",
-        ok,
-        f"ESR gap {esr_gap:.2e} bits, median common power fraction {med_common:.2e}",
-        elapsed,
-    )
+    return ok, f"ESR gap {esr_gap:.2e} bits, median common power fraction {med_common:.2e}"
 
 
-def check_quantization(seed=8, draws=200) -> CheckResult:
+@_check("quantization")
+def check_quantization(seed=8, draws=200):
     """Planted codewords quantize losslessly; distortion shrinks with codebook size."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     M, N = 4, 2
     book = channels.random_codebook(M, N, 4, rng)
@@ -377,19 +415,12 @@ def check_quantization(seed=8, draws=200) -> CheckResult:
         se = diff.std(ddof=1) / np.sqrt(diff.size)
         decreasing = decreasing and diff.mean() > 1.645 * se
         gaps.append(f"{lo}->{hi} bits gap {diff.mean():.3f}±{se:.3f}")
-    ok = planted_ok and decreasing
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "quantization",
-        ok,
-        f"planted {'ok' if planted_ok else 'FAILED'}; " + "; ".join(gaps),
-        elapsed,
-    )
+    return planted_ok and decreasing, f"planted {'ok' if planted_ok else 'FAILED'}; " + "; ".join(gaps)
 
 
-def check_determinism(seed=9) -> CheckResult:
+@_check("determinism")
+def check_determinism(seed=9):
     """Identical config and seed produce byte-identical CSV for any worker count."""
-    start = time.perf_counter()
     base = dict(
         M=4,
         N=2,
@@ -404,16 +435,9 @@ def check_determinism(seed=9) -> CheckResult:
     texts = [
         csv_text(run_experiment(ExperimentConfig(workers=w, **base))) for w in (1, 2, 3)
     ]
-    ok = texts[0] == texts[1] == texts[2]
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        "determinism",
-        ok,
-        f"{len(texts[0].splitlines())} CSV lines identical across 1/2/3 workers"
-        if ok
-        else "CSV outputs differ across worker counts",
-        elapsed,
-    )
+    if texts[0] == texts[1] == texts[2]:
+        return True, f"{len(texts[0].splitlines())} CSV lines identical across 1/2/3 workers"
+    return False, "CSV outputs differ across worker counts"
 
 
 def run_all(seed=0, quick=False, workers=1):

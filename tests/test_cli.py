@@ -182,6 +182,14 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_config_file_int_for_the_float_key_is_named(tmp_path, capsys):
+    # obj_tol must lie in (0, 0.1), which holds no integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"obj_tol": 0}))
+    assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
+    assert "error: --config: 'obj_tol' must be a float, got 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -427,6 +435,18 @@ def test_run_all_runs_the_ten_checks_at_their_sizes_and_prints_a_line_each(monke
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
     assert lines == [f"{'PASS' if i % 3 else 'FAIL'}  {'stub-%d' % i:<24} detail {i}  [{i / 2:.1f}s]" for i in range(10)]
+
+
+def test_a_check_is_timed_and_fails_past_its_budget():
+    @selfcheck._check("stub", seconds=0.0)
+    def over_budget(seed=0):
+        time.sleep(0.01)
+        return True, "body detail"
+
+    result = over_budget()
+    assert (result.name, result.passed, result.detail) == ("stub", False, "body detail")
+    assert 0.01 <= result.seconds < 60.0
+    assert selfcheck._check("stub")(lambda: (True, ""))().passed  # no budget: the body decides
 
 
 def test_importing_the_cli_leaves_the_acceptance_battery_unloaded():

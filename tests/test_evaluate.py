@@ -430,6 +430,34 @@ def test_a_killed_child_is_named_not_waited_for(monkeypatch, deadline):
     _assert_no_children()
 
 
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="the planted item waits for the death with os.waitid")
+def test_a_dead_child_ends_the_run_before_this_process_designs_another_item(monkeypatch, deadline):
+    # share 1's child dies on its first item, and this process's first item
+    # returns only once that child is dead (not yet reaped): the run must
+    # stop before this process starts its second item
+    real_draw, real_fork, parent = evaluate._run_draw, evaluate._fork_share, os.getpid()
+    pids, designed = [], []
+
+    def forking(share):
+        pid, pipe = real_fork(share)
+        pids.append(pid)
+        return pid, pipe
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        designed.append(args[-1])
+        return real_draw(*args)
+
+    monkeypatch.setattr(evaluate, "_fork_share", forking)
+    monkeypatch.setattr(evaluate, "_run_draw", dying)
+    with pytest.raises(evaluate.WorkerDied, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
+        run_experiment(small_config(draws=6, schemes=("mrt",), workers=2))
+    assert designed == [0]
+    _assert_no_children()
+
+
 def test_a_share_larger_than_the_pipe_buffer_completes(deadline):
     # each share pickles to more than the 64 KB a pipe holds, so a child can
     # finish only once this process has started reading its pipe

@@ -29,17 +29,14 @@ from rsmimo.rates import (
     checked_real,
     cholesky_logdet,
     cholesky_solve,
-    expectation_quadratic,
     f1_from_bundles,
     frobenius,
     instantaneous_rates,
     logsumexp,
-    mse_at_filters,
-    mse_bundle,
     objective_f1,
-    objective_f2,
     weights,
 )
+from rsmimo.selfcheck import expectation_quadratic, mse_at_filters, objective_f2
 
 
 def split_cat(X, K, rho):
@@ -148,33 +145,33 @@ def test_mse_matrices_are_hermitian_contractions():
     H_hat, s2 = random_instance(rng)
     P = random_precoders(rng)
     for k in range(4):
-        b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
+        b = all_bundles(H_hat, s2, P, 1.0)[k]
         for Mz in (b.Mc_mmse, b.Mp_mmse):
             assert np.max(np.abs(Mz - Mz.conj().T)) <= 1e-10
             w = np.linalg.eigvalsh(Mz)
             assert np.all(w > 0.0) and np.all(w <= 1.0 + 1e-12)
 
 
-def test_mse_bundle_matches_direct_inverse_route():
+def test_user_bundle_matches_direct_inverse_route():
     rng = make_rng(7)
     H_hat, s2 = random_instance(rng)
     P = random_precoders(rng)
     for k in range(4):
-        b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
+        b = all_bundles(H_hat, s2, P, 1.0)[k]
         Sc = H_hat[k].conj().T @ P.Pc
         F, _ = receive_covariances(H_hat[k], s2[k], P, 1.0)
         Mc_raw = np.eye(2) - Sc.conj().T @ np.linalg.inv(F) @ Sc
         assert np.max(np.abs(Mc_raw - b.Mc_mmse)) < 1e-10
 
 
-def test_mse_bundle_zero_common_precoder():
+def test_user_bundle_zero_common_precoder():
     # with no common signal the common stream is skipped, and the private
     # error matrix is still I - Sp^H G^-1 Sp
     rng = make_rng(8)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.1)
     P0 = random_precoders(rng, 6, 2, 2, rho=50.0)
     P = PrecoderSet(Pc=np.zeros((6, 2), dtype=complex), Pp=P0.Pp, rho=50.0)
-    b = mse_bundle(H_hat[0], s2[0], P, 1.0, 0)
+    b = all_bundles(H_hat, s2, P, 1.0)[0]
     assert b.Mc_mmse is None and b.Dc is None
     _, G = receive_covariances(H_hat[0], s2[0], P, 1.0)
     Sp = H_hat[0].conj().T @ P.Pp[0]
@@ -188,7 +185,7 @@ def test_mmse_inverse_identity_small():
         H_hat, s2 = random_instance(rng, 6, 2, 3, 0.2)
         P = random_precoders(rng, 6, 2, 3, rho=10.0 ** rng.uniform(0, 3))
         k = int(rng.integers(3))
-        b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
+        b = all_bundles(H_hat, s2, P, 1.0)[k]
         F, G = receive_covariances(H_hat[k], s2[k], P, 1.0)
         for S, cov, Mz in (
             (H_hat[k].conj().T @ P.Pc, F, b.Mc_mmse),
@@ -205,7 +202,7 @@ def test_mse_at_filters_agrees_with_bundle_at_mmse_point():
     H_hat, s2 = random_instance(rng)
     P = random_precoders(rng)
     for k in range(4):
-        b = mse_bundle(H_hat[k], s2[k], P, 1.0, k)
+        b = all_bundles(H_hat, s2, P, 1.0)[k]
         Mc, Mp = mse_at_filters(H_hat[k], s2[k], P, 1.0, k, b.Dc, b.Dp)
         assert np.max(np.abs(Mc - b.Mc_mmse)) < 1e-10
         assert np.max(np.abs(Mp - b.Mp_mmse)) < 1e-10
@@ -215,7 +212,7 @@ def test_mmse_filter_is_stationary_point():
     rng = make_rng(11)
     H_hat, s2 = random_instance(rng, 4, 2, 2, 0.1)
     P = random_precoders(rng, 4, 2, 2, rho=20.0)
-    b = mse_bundle(H_hat[0], s2[0], P, 1.0, 0)
+    b = all_bundles(H_hat, s2, P, 1.0)[0]
 
     def common_mse(D):
         Mc, _ = mse_at_filters(H_hat[0], s2[0], P, 1.0, 0, D, b.Dp)
@@ -289,7 +286,7 @@ def test_bundles_match_frozen_kernel(M, N, K):
                 assert all(getattr(b, name) is None for name in ref if name not in factored)
                 assert all(np.array_equal(getattr(b, name), ref[name]) for name in factored)
                 for k in range(K):
-                    bk = mse_bundle(H_hat[k], sig[k], P, 1.0, k)
+                    bk = b[k]
                     assert all(np.array_equal(getattr(bk, name), ref[name][k]) for name in factored)
                 mid = all_bundles(H_hat, sig, P, 1.0, private=False)
                 common = [name for name in ref if name in COMMON_FIELDS]

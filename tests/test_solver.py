@@ -1,6 +1,7 @@
 # Solver tests: initialization, per-block closed forms, power split, full runs.
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,17 +19,18 @@ import rsmimo.solver as solver
 from branch_counts import counting
 from conftest import make_rng, random_instance, random_precoders
 from oracles import fd_gradient, frozen_solve_p1, frozen_solve_p2, frozen_solve_p3, grid_scan_root, per_user_solver
+from call_counts import Ledger, report
 from paired_designs import compare, difference_line
 from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
 from rsmimo.evaluate import ExperimentConfig, draw_channels
 from rsmimo.rates import (
     PrecoderSet,
     all_bundles,
-    expectation_quadratic,
     instantaneous_rates,
     objective_f1,
     weights,
 )
+from rsmimo.selfcheck import expectation_quadratic
 from rsmimo.solver import (
     T_CLAMP,
     SolverConfig,
@@ -628,6 +630,15 @@ def test_run_termination_max_iters():
     assert state.extrapolations == 0
 
 
+def test_solver_config_range_rules():
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        SolverConfig(max_iters=0)
+    for tol in (0.0, 0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"obj_tol must lie in \(0, 1e-1\)"):
+            SolverConfig(obj_tol=tol)
+    SolverConfig(max_iters=1, obj_tol=0.099)  # the least cap and a tolerance just inside the range
+
+
 def test_run_keeps_p2_when_the_stabilized_point_rises(monkeypatch):
     # the first sweep started from an extrapolated point ends 1 nat higher
     # than it should: run must discard it and end on P2, the trace never rising
@@ -810,6 +821,41 @@ def test_paired_designs_script_compares_a_tree_with_itself():
     for scheme, (_, ratio, faster, identical, count) in rows.items():
         assert 0.0 < float(ratio) < float("inf") and faster.endswith("%")
         assert (identical, count) == ("yes", "(2/2)")
+
+
+def test_call_counts_script_reports_every_count_of_the_tree():
+    # the call ledger on one draw, this tree alone: shape only, since any
+    # refactor may move the exact counts
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, str(tests / "call_counts.py"), "--draws", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("1 draws at 20 dB, sigma_e2 = 0.1; this tree: ")
+    heads = [i for i, line in enumerate(lines) if not line.startswith(" ")][1:]
+    assert [lines[i].split(":")[0] for i in heads] == ["proposed", "rwmmse"]
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        assert re.fullmatch(r"\w+: [1-9]\d* sweeps in tree", lines[start])
+        assert lines[start + 1].split() == ["per", "sweep", "tree"]
+        rows = {line[2:].rsplit(None, 1)[0].strip(): float(line.split()[-1]) for line in lines[start + 2:end]}
+        totals = ["Python calls", "C calls", "rates._cholesky calls", "matrices factored"]
+        assert list(rows)[:4] == totals and all(rows[name] > 0 for name in totals)
+        assert rows["py rsmimo.solver.run"] > 0 and rows["py rsmimo.rates._cholesky"] == rows["rates._cholesky calls"]
+        assert all(name.startswith(("py ", "c ")) for name in list(rows)[4:])
+
+
+def test_call_counts_marks_the_rows_whose_sides_differ():
+    def ledger(sqrt):
+        return Ledger(2, Counter({"rsmimo.rates._cholesky": 4}), Counter({"math.sqrt": sqrt}), factored=8)
+
+    lines = report("proposed", {"old": ledger(6), "new": ledger(2)})
+    assert lines[0] == "proposed: 2 sweeps in old, 2 sweeps in new"
+    rows = [line.split() for line in lines[2:-1]]
+    assert rows == [["Python", "calls", "2.000", "2.000"], ["*", "C", "calls", "3.000", "1.000"],
+                    ["rates._cholesky", "calls", "2.000", "2.000"], ["matrices", "factored", "4.000", "4.000"],
+                    ["py", "rsmimo.rates._cholesky", "2.000", "2.000"], ["*", "c", "math.sqrt", "3.000", "1.000"]]
+    assert lines[-1] == "proposed: 2 rows differ"
+    assert report("rwmmse", {"old": ledger(6), "new": ledger(6)})[-1] == "rwmmse: every count identical"
 
 
 def test_paired_designs_says_how_differing_states_differ():
