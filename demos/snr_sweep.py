@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rsmimo.evaluate import ExperimentConfig, run_experiment, write_csv, write_json
+from rsmimo.evaluate import ExperimentConfig, csv_text, json_summary, run_experiment
 from rsmimo.solver import SolverConfig
 
 DRAWS = 50
@@ -48,8 +48,8 @@ def main():
         print(f"{s}: high-SNR slope {slope:.3f} bits/dB")
 
     out = Path(__file__).resolve().parent
-    write_csv(result, out / "sweep.csv")
-    write_json(result, out / "sweep.json")
+    (out / "sweep.csv").write_text(csv_text(result), newline="\n")
+    (out / "sweep.json").write_text(json_summary(result), newline="\n")
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
 
 

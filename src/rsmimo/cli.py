@@ -20,6 +20,7 @@ from .evaluate import (
     draw_channels,
     empirical_cdf,
     json_summary,
+    json_text,
     run_experiment,
     version_string,
 )
@@ -51,6 +52,7 @@ HELP = {
     "sigma_e2": "grid: start:step:stop or comma list",
     "schemes": "comma list from: " + ", ".join(SCHEMES),
     "timing": "write zeros in the solver_seconds column for byte-reproducible output",
+    "workers": "processes that design the draws of sweep and cdf; converge ignores it and designs in one process",
 }
 
 
@@ -194,8 +196,7 @@ def _cmd_converge(args) -> int:
     cfg, snr, sigma_e2 = _one_point(res, "converge")
     if "proposed" not in cfg.schemes:
         raise ValueError("converge traces the proposed design; --schemes must include proposed")
-    traces = []
-    iters = []
+    traces, iters = [], []
     for draw in range(cfg.draws):
         chans, rho = draw_channels(cfg, 0, 0, draw)
         st = run(chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver)
@@ -213,7 +214,7 @@ def _cmd_converge(args) -> int:
     for i, tr in enumerate(traces):
         lines.extend(f"{i},{j},{v:.10g}" for j, v in enumerate(tr))
     texts = {
-        "converge.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "converge.json": json_text(payload),
         "converge.csv": "\n".join(lines) + "\n",
     }
     _write(res["out_dir"], res["format"], texts)
@@ -228,8 +229,7 @@ def _cmd_cdf(args) -> int:
     res = _resolve(args)
     cfg, snr, sigma_e2 = _one_point(res, "cdf")
     result = run_experiment(cfg)
-    lines = ["scheme,sum_rate_bits,prob"]
-    summary = {}
+    lines, summary = ["scheme,sum_rate_bits,prob"], {}
     for scheme in cfg.schemes:
         samples = sorted(r.sum_rate_bits for r in result.records if r.scheme == scheme)
         cdf = empirical_cdf(samples)
@@ -252,7 +252,7 @@ def _cmd_cdf(args) -> int:
     }
     texts = {
         "cdf.csv": "\n".join(lines) + "\n",
-        "cdf.json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "cdf.json": json_text(payload),
     }
     _write(res["out_dir"], res["format"], texts)
     return 0
@@ -297,8 +297,9 @@ def build_parser():
 def parse_and_run(argv) -> int:
     """Run one command line and return its exit code.
 
-    0 success, 1 self-test failure, 2 invalid usage or configuration, 3 a
-    numerical failure inside a run or a worker that died.
+    0 success, 1 self-test failure, 2 invalid usage or configuration or an
+    OSError (a file that cannot be written, a worker that cannot be forked),
+    3 a numerical failure inside a run or a worker that died.
     """
     try:
         args = build_parser().parse_args(argv)

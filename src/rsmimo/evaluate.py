@@ -443,21 +443,15 @@ def csv_text(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_text(payload) -> str:
+    """The JSON text of every output file: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def json_summary(result: ExperimentResult) -> str:
-    payload = {
+    return json_text({
         "config": config_fingerprint(result.config),
         "version": version_string(),
         "cells": [asdict(c) for c in result.cells],
         "failures": result.failures,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_csv(result: ExperimentResult, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(result))
-
-
-def write_json(result: ExperimentResult, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json_summary(result))
+    })

@@ -441,31 +441,28 @@ def check_determinism(seed=9):
 
 
 def run_all(seed=0, quick=False, workers=1):
-    """Execute the full battery and print one pass/fail line per check."""
-    sizes = {
-        "instances": 200 if quick else 1000,
-        "mc_draws": 50_000 if quick else 200_000,
-        "points": 3 if quick else 10,
-        "runs": 25 if quick else 100,
-        "iterates": 20 if quick else 100,
-        "grid": 200_000 if quick else 1_000_000,
-        "power_runs": 10 if quick else 50,
-        "sweep_draws": 40 if quick else 200,
-        "pairs": 10 if quick else 50,
-        "quant_draws": 50 if quick else 200,
-    }
-    results = [
-        check_mmse_inverse_identity(seed, sizes["instances"]),
-        check_quadratic_expectation(seed + 1, sizes["mc_draws"]),
-        check_gradient_equality(seed + 2, sizes["points"]),
-        check_descent(seed + 3, sizes["runs"]),
-        check_split_root(seed + 4, sizes["iterates"], sizes["grid"]),
-        check_power_conservation(seed + 5, sizes["power_runs"]),
-        check_rate_ordering(seed + 6, sizes["sweep_draws"], workers),
-        check_perfect_csit(seed + 7, sizes["pairs"]),
-        check_quantization(seed + 8, sizes["quant_draws"]),
-        check_determinism(seed + 9),
-    ]
+    """Execute the battery, check i with seed + i, and print one pass/fail line per check.
+
+    A full run takes each check's default sizes; --quick gives the sizes below.
+    """
+    quick_sizes = (
+        (check_mmse_inverse_identity, {"instances": 200}),
+        (check_quadratic_expectation, {"draws": 50_000}),
+        (check_gradient_equality, {"points": 3}),
+        (check_descent, {"runs": 25}),
+        (check_split_root, {"iterates": 20, "grid_points": 200_000}),
+        (check_power_conservation, {"runs": 10}),
+        (check_rate_ordering, {"draws": 40}),
+        (check_perfect_csit, {"pairs": 10}),
+        (check_quantization, {"draws": 50}),
+        (check_determinism, {}),
+    )
+    results = []
+    for i, (check, sizes) in enumerate(quick_sizes):
+        kwargs = dict(sizes) if quick else {}
+        if check is check_rate_ordering:
+            kwargs["workers"] = workers
+        results.append(check(seed + i, **kwargs))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24} {r.detail}  [{r.seconds:.1f}s]")
     return results

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from paired_designs import HERE, K, M, N, SIGMA_N2, load
+from sweep_wall import unpack
 
 SCHEMES = ("proposed", "rwmmse")
 
@@ -103,13 +103,6 @@ def report(scheme, ledgers: dict) -> list:
     if len(ledgers) > 1:
         out.append(f"{scheme}: " + ("every count identical" if not differ else f"{differ} rows differ"))
     return out
-
-
-def unpack(rev, into) -> str:
-    """Unpack the src/ of git revision rev under the directory into; returns into."""
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=HERE, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
-    return into
 
 
 def main(argv=None):

@@ -2,13 +2,13 @@
 
     python3 tests/sweep_wall.py REV [--pairs 10] [--seed 1]
 
-REV is any git revision, for example HEAD~1; `git archive REV` is unpacked
-into a temporary directory. Each pair runs the `snr_sweep` command line of
-`bench/` (`rsmimo sweep --snr-db 0:10:40 --sigma-e2 0.1 --draws 8 --workers 2
---format both`) once from REV and once from this tree, both with the pair's
---seed, and the side that runs first alternates from pair to pair. Both run
-with one BLAS thread, as in the benchmark. A pair's wall time runs from
-starting the interpreter to its exit.
+REV is any git revision, for example HEAD~1; the `src/` of `git archive REV`
+is unpacked into a temporary directory. Each pair runs the `snr_sweep`
+command line of `bench/` (`rsmimo sweep --snr-db 0:10:40 --sigma-e2 0.1
+--draws 8 --workers 2 --format both`) once from REV and once from this tree,
+both with the pair's --seed, and the side that runs first alternates from
+pair to pair. Both run with one BLAS thread, as in the benchmark. A pair's
+wall time runs from starting the interpreter to its exit.
 
 Both sides compile rsmimo on every run, as the benchmark's fresh checkouts
 do: each runs from a copy of its src/ without __pycache__ (this tree's src/
@@ -24,6 +24,7 @@ when a sweep fails or a pair's CSVs differ.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import shutil
 import statistics
@@ -77,15 +78,12 @@ def report(pairs) -> list:
     return lines
 
 
-def unpack(rev, dest: Path) -> Path:
-    """`git archive rev` unpacked under dest; returns the unpacked root."""
-    archive = dest / "rev.tar"
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
-    root = dest / "rev"
-    with tarfile.open(archive) as tar:
-        tar.extractall(root)
-    return root
+def unpack(rev, dest) -> Path:
+    """The src/ of git revision rev, from `git archive`, unpacked under dest; returns dest."""
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return Path(dest)
 
 
 def copy_src(root: Path, dest: Path) -> Path:
@@ -124,7 +122,7 @@ def main(argv=None) -> int:
     pairs, same = [], True
     with tempfile.TemporaryDirectory(prefix="sweep-wall-") as tmp:
         tmp = Path(tmp)
-        sides = {"rev": unpack(args.rev, tmp), "tree": copy_src(ROOT, tmp / "tree")}
+        sides = {"rev": unpack(args.rev, tmp / "rev"), "tree": copy_src(ROOT, tmp / "tree")}
         print("both sides: src/ without __pycache__ and PYTHONDONTWRITEBYTECODE=1, so every run compiles rsmimo")
         for i in range(args.pairs):
             seed = args.seed * 1000 + i

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import record_verdict
 from rsmimo import selfcheck
-from rsmimo.evaluate import ExperimentConfig, run_experiment, write_csv
+from rsmimo.evaluate import ExperimentConfig, csv_text, run_experiment
 from rsmimo.solver import SolverConfig
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -95,7 +95,7 @@ def test_csv_byte_determinism(tmp_path):
     for workers in (1, 2, 3):
         result = run_experiment(ExperimentConfig(workers=workers, **cfg))
         path = tmp_path / f"w{workers}.csv"
-        write_csv(result, path)
+        path.write_text(csv_text(result), newline="\n")
         paths.append(path)
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]

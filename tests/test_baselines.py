@@ -12,6 +12,7 @@ from rsmimo.baselines import (
     design_precoders,
     mrt_precoder,
 )
+from rsmimo.channels import sample_estimation_channel, sample_quantized_csit
 from rsmimo.rates import instantaneous_rates
 from rsmimo.solver import SolverConfig, run
 
@@ -94,8 +95,6 @@ def test_rwmmse_single_user_matches_exact_multiplier_wmmse():
 def test_proposed_never_loses_to_all_private_design():
     # splitting can only add freedom; paired draws, designs see the estimate
     # and the achieved rates are scored on the true channel
-    from rsmimo.channels import sample_estimation_channel
-
     rng = make_rng(45)
     diffs = []
     cfg = SolverConfig(max_iters=200)
@@ -125,3 +124,41 @@ def test_dispatch_tuple_shape():
         P, iters, t, hits = design_precoders(name, H_hat, s2, 10.0, 1.0, SolverConfig(max_iters=40))
         assert abs(P.power() - 10.0) <= 1e-9 * 10.0
         assert iters >= 0 and 0.0 < t <= 1.0 and hits >= 0
+
+
+# regimes the acceptance battery never visits: (M, N, K), SNR in dB, and the
+# CSIT as ("estimation", sigma_e2) or ("quantized", bits), with the draws of each
+REGIMES = {
+    "overloaded-4x2x4-20dB": ((4, 2, 4), 20.0, ("estimation", 0.1), 10),
+    "overloaded-3x2x4-60dB": ((3, 2, 4), 60.0, ("estimation", 0.1), 10),
+    "overloaded-4x1x6-40dB": ((4, 1, 6), 40.0, ("estimation", 0.1), 10),
+    "8x2x4-70dB": ((8, 2, 4), 70.0, ("estimation", 0.1), 10),
+    "sigma_e2-near-1": ((8, 2, 4), 20.0, ("estimation", 1.0 - 1e-6), 10),
+    "quantized-1-bit": ((8, 2, 4), 20.0, ("quantized", 1), 10),
+    "quantized-14-bits": ((4, 2, 2), 20.0, ("quantized", 14), 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("regime", REGIMES)
+def test_designs_in_regimes_the_battery_never_visits(regime):
+    # every scheme: no exception or warning, finite rates, the full power
+    # budget and, for the solved schemes, a trace that never rises
+    (M, N, K), snr_db, (csit, value), draws = REGIMES[regime]
+    rng = make_rng(11)
+    rho = 10.0 ** (snr_db / 10.0)
+    for _ in range(draws):
+        if csit == "quantized":
+            chans, _ = sample_quantized_csit(M, N, K, value, rng)
+        else:
+            chans = sample_estimation_channel(M, N, K, [value] * K, rng)
+        for scheme in SCHEMES:
+            if scheme == "mrt":
+                P, trace = mrt_precoder(chans.H_hat, rho), []
+            else:
+                state = run(chans.H_hat, chans.sigma_e2, rho, 1.0, force_sdma=scheme == "rwmmse")
+                P, trace = state.P, state.objective_trace
+            rates = np.concatenate([np.ravel(r) for r in instantaneous_rates(chans.H, P, 1.0)])
+            assert np.all(np.isfinite(rates)), (scheme, rates)
+            assert abs(P.power() - rho) <= 1e-9 * rho, scheme
+            assert np.all(np.diff(trace) <= 0.0), scheme

@@ -1,6 +1,7 @@
 # CLI tests: grid parsing, config resolution, artifacts, and exit codes.
 from __future__ import annotations
 
+import errno
 import inspect
 import json
 import os
@@ -208,6 +209,11 @@ def sweep_args(tmp_path, *extra):
     )
 
 
+def test_converge_help_says_it_ignores_workers(capsys):
+    assert run_cli("converge", "--help") == 0
+    assert "converge ignores it and designs in one process" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweep_writes_expected_artifacts(tmp_path, capsys):
     assert run_cli(*sweep_args(tmp_path)) == 0
     out = capsys.readouterr().out
@@ -401,36 +407,40 @@ def test_selftest_exit_codes(monkeypatch, capsys):
     assert run_cli("selftest") == 1
 
 
-# check: (seed offset, quick sizes, full sizes) as run_all passes them; the
-# rate-ordering check also gets the worker count (3 below)
+# check: (seed offset, the sizes run_all passes under --quick); a full run
+# passes no size, so each check runs at its own defaults. The rate-ordering
+# check also gets the worker count (3 below)
 BATTERY = {
-    "check_mmse_inverse_identity": (0, (200,), (1000,)),
-    "check_quadratic_expectation": (1, (50_000,), (200_000,)),
-    "check_gradient_equality": (2, (3,), (10,)),
-    "check_descent": (3, (25,), (100,)),
-    "check_split_root": (4, (20, 200_000), (100, 1_000_000)),
-    "check_power_conservation": (5, (10,), (50,)),
-    "check_rate_ordering": (6, (40, 3), (200, 3)),
-    "check_perfect_csit": (7, (10,), (50,)),
-    "check_quantization": (8, (50,), (200,)),
-    "check_determinism": (9, (), ()),
+    "check_mmse_inverse_identity": (0, {"instances": 200}),
+    "check_quadratic_expectation": (1, {"draws": 50_000}),
+    "check_gradient_equality": (2, {"points": 3}),
+    "check_descent": (3, {"runs": 25}),
+    "check_split_root": (4, {"iterates": 20, "grid_points": 200_000}),
+    "check_power_conservation": (5, {"runs": 10}),
+    "check_rate_ordering": (6, {"draws": 40}),
+    "check_perfect_csit": (7, {"pairs": 10}),
+    "check_quantization": (8, {"draws": 50}),
+    "check_determinism": (9, {}),
 }
 
 
 @pytest.mark.parametrize("quick", [True, False])
 def test_run_all_runs_the_ten_checks_at_their_sizes_and_prints_a_line_each(monkeypatch, capsys, quick):
     calls = []
-    for i, name in enumerate(BATTERY):
+    for i, (name, (offset, sizes)) in enumerate(BATTERY.items()):
         # at seed 0 the battery runs each check at its own default seed
-        assert inspect.signature(getattr(selfcheck, name)).parameters["seed"].default == BATTERY[name][0]
+        parameters = inspect.signature(getattr(selfcheck, name)).parameters
+        assert parameters["seed"].default == offset and set(sizes) < set(parameters)
 
-        def stub(*args, name=name, i=i):
-            calls.append((name, args))
+        def stub(*args, name=name, i=i, **kwargs):
+            calls.append((name, args, kwargs))
             return CheckResult(name=f"stub-{i}", passed=i % 3 > 0, detail=f"detail {i}", seconds=0.5 * i)
 
         monkeypatch.setattr(selfcheck, name, stub)
     results = selfcheck.run_all(seed=100, quick=quick, workers=3)
-    assert calls == [(name, (100 + offset, *(q if quick else full))) for name, (offset, q, full) in BATTERY.items()]
+    workers = {"check_rate_ordering": {"workers": 3}}
+    assert calls == [(name, (100 + offset,), {**(sizes if quick else {}), **workers.get(name, {})})
+                     for name, (offset, sizes) in BATTERY.items()]
     assert [r.name for r in results] == [f"stub-{i}" for i in range(10)]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
@@ -527,6 +537,17 @@ def test_a_dead_worker_exits_3_as_a_worker_failure(tmp_path, monkeypatch, capsys
     assert re.fullmatch(
         r"worker failure: worker of share 1 of 2 \(pid \d+\) was killed by signal 9 before sending its outputs\n", err
     ), err
+    assert list(tmp_path.iterdir()) == []
+    assert _no_child_left()
+
+
+def test_a_failed_fork_exits_2_naming_the_os_error(tmp_path, monkeypatch, capsys):
+    def no_process():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert run_cli(*sweep_args(tmp_path, "--workers", "2")) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
     assert list(tmp_path.iterdir()) == []
     assert _no_child_left()
 

@@ -1,6 +1,7 @@
 # Experiment harness tests: pairing, determinism, summaries, serialization.
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -28,8 +29,6 @@ from rsmimo.evaluate import (
     json_summary,
     run_experiment,
     version_string,
-    write_csv,
-    write_json,
 )
 from rsmimo.rates import instantaneous_rates
 from rsmimo.solver import SolverConfig
@@ -102,7 +101,7 @@ def test_fingerprint_excludes_workers_but_keeps_model_fields():
     assert "workers" not in json.dumps(a)
 
 
-def test_csv_layout_and_zeroed_timing(tmp_path):
+def test_csv_layout_and_zeroed_timing():
     result = run_experiment(small_config())
     text = csv_text(result)
     lines = text.splitlines()
@@ -118,11 +117,7 @@ def test_csv_layout_and_zeroed_timing(tmp_path):
         if fields[0] == "mrt":
             assert float(fields[5]) == 0.0  # no common stream, no common rate
 
-    p_csv, p_json = tmp_path / "r.csv", tmp_path / "r.json"
-    write_csv(result, p_csv)
-    write_json(result, p_json)
-    assert p_csv.read_text() == text
-    payload = json.loads(p_json.read_text())
+    payload = json.loads(json_summary(result))
     assert payload["version"] == version_string()
     assert version_string().startswith("0.1.0")
     assert len(payload["cells"]) == len(result.cells)
@@ -467,6 +462,27 @@ def test_a_share_larger_than_the_pipe_buffer_completes(deadline):
     forked = run_experiment(replace(cfg, workers=2))
     assert csv_text(forked) == csv_text(serial) and json_summary(forked) == json_summary(serial)
     _assert_no_children()
+
+
+def test_a_failed_fork_raises_and_leaves_no_child_and_no_pipe(monkeypatch, deadline):
+    # the first fork succeeds and the second finds no process to be had: the
+    # run raises that OSError, after killing and reaping the first child and
+    # closing both shares' pipes
+    real_fork, forked = os.fork, []
+
+    def fork_once():
+        if forked:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        forked.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = os.listdir("/proc/self/fd")
+    with pytest.raises(OSError) as failure:
+        run_experiment(small_config(draws=6, schemes=("mrt",), workers=3))
+    assert failure.value.errno == errno.EAGAIN and forked == [True]
+    _assert_no_children()
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
 
 
 def test_workers_need_fork(monkeypatch):

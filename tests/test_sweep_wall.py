@@ -1,12 +1,14 @@
-# Tests of tests/sweep_wall.py's helpers: the command line, the bytecode setting, the CSV mask and the report.
+# Tests of tests/sweep_wall.py's helpers: the command line, the bytecode setting, the CSV mask, the report
+# and the revision unpacker.
 from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from sweep_wall import ITEMS, copy_src, masked_csv, quartiles, report, sweep_argv, sweep_env
+from sweep_wall import ITEMS, copy_src, masked_csv, quartiles, report, sweep_argv, sweep_env, unpack
 
 CSV = """# config: {"seed": 3}
 # version: 0.1.0+gabc1234
@@ -57,3 +59,14 @@ def test_each_side_compiles_rsmimo_on_every_run(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "1 True\n"
     assert sorted(p.name for p in (root / "src" / "rsmimo").iterdir()) == ["__init__.py"]
+
+
+def test_unpack_holds_the_src_of_the_revision(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True).returncode:
+        pytest.skip("needs a git checkout")
+    dest = unpack("HEAD", tmp_path / "rev")
+    assert dest == tmp_path / "rev" and [p.name for p in dest.iterdir()] == ["src"]
+    committed = subprocess.run(["git", "show", "HEAD:src/rsmimo/__init__.py"], cwd=root, capture_output=True,
+                               check=True).stdout
+    assert (dest / "src" / "rsmimo" / "__init__.py").read_bytes() == committed
