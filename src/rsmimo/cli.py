@@ -196,7 +196,8 @@ def _cmd_converge(args) -> int:
     cfg, snr, sigma_e2 = _one_point(res, "converge")
     if "proposed" not in cfg.schemes:
         raise ValueError("converge traces the proposed design; --schemes must include proposed")
-    traces, iters = [], []
+    traces = []
+    iters = []
     for draw in range(cfg.draws):
         chans, rho = draw_channels(cfg, 0, 0, draw)
         st = run(chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver)
@@ -229,7 +230,8 @@ def _cmd_cdf(args) -> int:
     res = _resolve(args)
     cfg, snr, sigma_e2 = _one_point(res, "cdf")
     result = run_experiment(cfg)
-    lines, summary = ["scheme,sum_rate_bits,prob"], {}
+    lines = ["scheme,sum_rate_bits,prob"]
+    summary = {}
     for scheme in cfg.schemes:
         samples = sorted(r.sum_rate_bits for r in result.records if r.scheme == scheme)
         cdf = empirical_cdf(samples)

@@ -452,17 +452,12 @@ def run_all(seed=0, quick=False, workers=1):
         (check_descent, {"runs": 25}),
         (check_split_root, {"iterates": 20, "grid_points": 200_000}),
         (check_power_conservation, {"runs": 10}),
-        (check_rate_ordering, {"draws": 40}),
+        (functools.partial(check_rate_ordering, workers=workers), {"draws": 40}),
         (check_perfect_csit, {"pairs": 10}),
         (check_quantization, {"draws": 50}),
         (check_determinism, {}),
     )
-    results = []
-    for i, (check, sizes) in enumerate(quick_sizes):
-        kwargs = dict(sizes) if quick else {}
-        if check is check_rate_ordering:
-            kwargs["workers"] = workers
-        results.append(check(seed + i, **kwargs))
+    results = [check(seed + i, **(sizes if quick else {})) for i, (check, sizes) in enumerate(quick_sizes)]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24} {r.detail}  [{r.seconds:.1f}s]")
     return results

@@ -407,30 +407,32 @@ def test_selftest_exit_codes(monkeypatch, capsys):
     assert run_cli("selftest") == 1
 
 
-# check: (seed offset, the sizes run_all passes under --quick); a full run
-# passes no size, so each check runs at its own defaults. The rate-ordering
-# check also gets the worker count (3 below)
+# check: (seed offset, the sizes run_all passes under --quick, the full sizes
+# that are the check's own defaults and that a full run therefore leaves out);
+# the rate-ordering check also gets the worker count (3 below)
 BATTERY = {
-    "check_mmse_inverse_identity": (0, {"instances": 200}),
-    "check_quadratic_expectation": (1, {"draws": 50_000}),
-    "check_gradient_equality": (2, {"points": 3}),
-    "check_descent": (3, {"runs": 25}),
-    "check_split_root": (4, {"iterates": 20, "grid_points": 200_000}),
-    "check_power_conservation": (5, {"runs": 10}),
-    "check_rate_ordering": (6, {"draws": 40}),
-    "check_perfect_csit": (7, {"pairs": 10}),
-    "check_quantization": (8, {"draws": 50}),
-    "check_determinism": (9, {}),
+    "check_mmse_inverse_identity": (0, {"instances": 200}, {"instances": 1000}),
+    "check_quadratic_expectation": (1, {"draws": 50_000}, {"draws": 200_000}),
+    "check_gradient_equality": (2, {"points": 3}, {"points": 10}),
+    "check_descent": (3, {"runs": 25}, {"runs": 100}),
+    "check_split_root": (4, {"iterates": 20, "grid_points": 200_000}, {"iterates": 100, "grid_points": 1_000_000}),
+    "check_power_conservation": (5, {"runs": 10}, {"runs": 50}),
+    "check_rate_ordering": (6, {"draws": 40}, {"draws": 200}),
+    "check_perfect_csit": (7, {"pairs": 10}, {"pairs": 50}),
+    "check_quantization": (8, {"draws": 50}, {"draws": 200}),
+    "check_determinism": (9, {}, {}),
 }
 
 
 @pytest.mark.parametrize("quick", [True, False])
 def test_run_all_runs_the_ten_checks_at_their_sizes_and_prints_a_line_each(monkeypatch, capsys, quick):
     calls = []
-    for i, (name, (offset, sizes)) in enumerate(BATTERY.items()):
-        # at seed 0 the battery runs each check at its own default seed
+    for i, (name, (offset, quick_sizes, full_sizes)) in enumerate(BATTERY.items()):
+        # at seed 0 the battery runs each check at its own default seed, and a
+        # full run at its own default sizes
         parameters = inspect.signature(getattr(selfcheck, name)).parameters
-        assert parameters["seed"].default == offset and set(sizes) < set(parameters)
+        assert parameters["seed"].default == offset and set(quick_sizes) == set(full_sizes)
+        assert {k: parameters[k].default for k in full_sizes} == full_sizes
 
         def stub(*args, name=name, i=i, **kwargs):
             calls.append((name, args, kwargs))
@@ -439,8 +441,8 @@ def test_run_all_runs_the_ten_checks_at_their_sizes_and_prints_a_line_each(monke
         monkeypatch.setattr(selfcheck, name, stub)
     results = selfcheck.run_all(seed=100, quick=quick, workers=3)
     workers = {"check_rate_ordering": {"workers": 3}}
-    assert calls == [(name, (100 + offset,), {**(sizes if quick else {}), **workers.get(name, {})})
-                     for name, (offset, sizes) in BATTERY.items()]
+    assert calls == [(name, (100 + offset,), {**(q if quick else {}), **workers.get(name, {})})
+                     for name, (offset, q, _) in BATTERY.items()]
     assert [r.name for r in results] == [f"stub-{i}" for i in range(10)]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
