@@ -163,11 +163,10 @@ def _one_point(res, command):
     quantized mode ignores the sigma_e2 grid, and its sigma_e2 is None.
     """
     cfg = _experiment_config(res)
-    sigma_e2 = cfg.sigma_e2_grid if cfg.csit == "estimation" else (None,)
-    for flag, grid in (("--snr-db", cfg.snr_db_grid), ("--sigma-e2", sigma_e2)):
+    for flag, grid in (("--snr-db", cfg.snr_db_grid), ("--sigma-e2", cfg.sigma_points)):
         if len(grid) != 1:
             raise ValueError(f"{command} runs at one operating point; {flag} holds {len(grid)} values")
-    return cfg, cfg.snr_db_grid[0], sigma_e2[0]
+    return cfg, cfg.snr_db_grid[0], cfg.sigma_points[0]
 
 
 def _write(out: Path, fmt: str, texts: dict):

@@ -29,6 +29,7 @@ import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         channels.check_dims(self.M, self.N, self.K)
-        if not self.snr_db_grid or (self.csit == "estimation" and not self.sigma_e2_grid):
+        if not self.snr_db_grid or not self.sigma_points:
             raise ValueError("SNR and sigma_e2 grids must be non-empty")
         if not all(math.isfinite(v) for v in (*self.snr_db_grid, *self.sigma_e2_grid)):
             raise ValueError("SNR and sigma_e2 grids must hold finite values")
@@ -104,6 +105,12 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.workers > 1 and not hasattr(os, "fork"):
             raise ValueError(f"workers={self.workers} needs os.fork, which this platform lacks; use workers=1")
+
+    @property
+    def sigma_points(self):
+        """The sigma_e2 points the grid walks: sigma_e2_grid, or in quantized
+        mode one point labelled None, whatever sigma_e2_grid holds."""
+        return self.sigma_e2_grid if self.csit == "estimation" else (None,)
 
 
 @dataclass(frozen=True)
@@ -142,10 +149,6 @@ class ExperimentResult:
     failures: list
 
 
-def _sigma_indices(cfg: ExperimentConfig):
-    return range(len(cfg.sigma_e2_grid)) if cfg.csit == "estimation" else range(1)
-
-
 def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     """The channels of one work item and its transmit SNR rho, as (chans, rho).
 
@@ -155,11 +158,11 @@ def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(sigma_idx, snr_idx, draw))
     rng = np.random.default_rng(ss)
     rho = 10.0 ** (cfg.snr_db_grid[snr_idx] / 10.0)
-    if cfg.csit == "quantized":
+    sigma_e2 = cfg.sigma_points[sigma_idx]
+    if sigma_e2 is None:
         chans, _ = channels.sample_quantized_csit(cfg.M, cfg.N, cfg.K, cfg.bits, rng)
     else:
-        sig = [cfg.sigma_e2_grid[sigma_idx]] * cfg.K
-        chans = channels.sample_estimation_channel(cfg.M, cfg.N, cfg.K, sig, rng)
+        chans = channels.sample_estimation_channel(cfg.M, cfg.N, cfg.K, [sigma_e2] * cfg.K, rng)
     return chans, rho
 
 
@@ -217,15 +220,15 @@ def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
             else:
                 failures.append({**outcome, "scheme": scheme})
     except ValueError as exc:
-        quantized = f"quantized {cfg.bits} bits"
-        grid = f"sigma_e2={cfg.sigma_e2_grid[sigma_idx]}" if cfg.csit == "estimation" else quantized
+        sigma_e2 = cfg.sigma_points[sigma_idx]
+        grid = f"quantized {cfg.bits} bits" if sigma_e2 is None else f"sigma_e2={sigma_e2}"
         item = f"snr_db={cfg.snr_db_grid[snr_idx]}, draw={draw}" + (f", scheme={scheme}" if scheme else "")
         raise ValueError(f"{grid}, {item}: {exc}") from exc
     return records, failures
 
 
 def _item_args(cfg: ExperimentConfig):
-    for sigma_idx in _sigma_indices(cfg):
+    for sigma_idx in range(len(cfg.sigma_points)):
         for snr_idx in range(len(cfg.snr_db_grid)):
             for draw in range(cfg.draws):
                 yield (cfg, sigma_idx, snr_idx, draw)
@@ -275,8 +278,9 @@ def _fork_share(share):
 def _run_items(items, workers):
     """_run_draw's output for every item, in item order, from W interleaved shares.
 
-    A child that ends without sending its share raises WorkerDied naming the
-    share and how the child ended; before each of its own items, this process
+    A refused fork raises an OSError of its errno naming the share. A child
+    that ends without sending its share raises WorkerDied naming the share
+    and how the child ended; before each of its own items, this process
     reaps the children that have ended, without waiting for the others. On
     any error or interrupt, the children not yet reaped are killed; every
     child is reaped before this returns.
@@ -305,7 +309,10 @@ def _run_items(items, workers):
 
     try:
         for w in range(1, W):
-            children[w] = _fork_share(items[w::W])
+            try:
+                children[w] = _fork_share(items[w::W])
+            except OSError as exc:
+                raise OSError(exc.errno, f"cannot fork the worker of share {w} of {W}: {exc.strerror}") from exc
         shares = [_run_share(items[0::W], poll)]
         for w in range(1, W):
             with children[w][1] as pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
@@ -332,10 +339,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full grid; deterministic for a given config regardless of workers."""
     items = list(_item_args(cfg))
     outputs = _run_items(items, cfg.workers)
-    records, failures = [], []
-    for recs, fails in outputs:
-        records.extend(recs)
-        failures.extend(fails)
+    records = [r for rs, _ in outputs for r in rs]
+    failures = [f for _, fs in outputs for f in fs]
     attempted = len(items) * len(cfg.schemes)
     if len(failures) > 0.01 * attempted:
         raise RuntimeError(
@@ -343,49 +348,43 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"first failure: {failures[0]}"
         )
     return ExperimentResult(
-        config=cfg, records=records, cells=_summarize(cfg, items, outputs), failures=failures
+        config=cfg, records=records, cells=_summarize(cfg, outputs), failures=failures
     )
 
 
-def _summarize(cfg: ExperimentConfig, items, outputs):
+def _summarize(cfg: ExperimentConfig, outputs):
     """Per-cell statistics in grid order.
 
-    Records and failures are grouped in one pass over the work items, keyed
-    on the item's grid indices and the scheme; within a cell they keep the
-    order in which the items ran.
+    outputs are _run_draw's, in item order, so each grid point's cfg.draws
+    outputs lie next to each other; within a cell, records and failures keep
+    the order in which the items ran.
     """
-    groups = {}
-    for (_, sigma_idx, snr_idx, _), (recs, fails) in zip(items, outputs):
-        for r in recs:
-            groups.setdefault((sigma_idx, snr_idx, r.scheme), ([], []))[0].append(r)
-        for f in fails:
-            groups.setdefault((sigma_idx, snr_idx, f["scheme"]), ([], []))[1].append(f)
     cells = []
-    for sigma_idx in _sigma_indices(cfg):
-        label = cfg.sigma_e2_grid[sigma_idx] if cfg.csit == "estimation" else None
-        for snr_idx, snr_db in enumerate(cfg.snr_db_grid):
-            for scheme in cfg.schemes:
-                sel, fails = groups.get((sigma_idx, snr_idx, scheme), ((), ()))
-                rates_arr = np.array([r.sum_rate_bits for r in sel], dtype=float)
-                esr, se = (float(np.mean(rates_arr)), 0.0) if rates_arr.size else (None, None)
-                if rates_arr.size > 1:
-                    se = float(np.std(rates_arr, ddof=1) / np.sqrt(rates_arr.size))
-                cells.append(
-                    CellSummary(
-                        scheme=scheme,
-                        snr_db=snr_db,
-                        sigma_e2=label,
-                        esr_bits=esr,
-                        std_err=se,
-                        draws_used=int(rates_arr.size),
-                        failures=len(fails),
-                        boundary_hits=int(sum(r.boundary_hits for r in sel)),
-                        mean_iterations=float(np.mean([r.iterations for r in sel])) if sel else None,
-                        mean_solver_seconds=(
-                            float(np.mean([r.solver_seconds for r in sel])) if sel else None
-                        ),
-                    )
+    for i, (sigma_e2, snr_db) in enumerate(product(cfg.sigma_points, cfg.snr_db_grid)):
+        point = outputs[i * cfg.draws:(i + 1) * cfg.draws]
+        for scheme in cfg.schemes:
+            sel = [r for rs, _ in point for r in rs if r.scheme == scheme]
+            fails = [f for _, fs in point for f in fs if f["scheme"] == scheme]
+            rates_arr = np.array([r.sum_rate_bits for r in sel], dtype=float)
+            esr, se = (float(np.mean(rates_arr)), 0.0) if rates_arr.size else (None, None)
+            if rates_arr.size > 1:
+                se = float(np.std(rates_arr, ddof=1) / np.sqrt(rates_arr.size))
+            cells.append(
+                CellSummary(
+                    scheme=scheme,
+                    snr_db=snr_db,
+                    sigma_e2=sigma_e2,
+                    esr_bits=esr,
+                    std_err=se,
+                    draws_used=int(rates_arr.size),
+                    failures=len(fails),
+                    boundary_hits=int(sum(r.boundary_hits for r in sel)),
+                    mean_iterations=float(np.mean([r.iterations for r in sel])) if sel else None,
+                    mean_solver_seconds=(
+                        float(np.mean([r.solver_seconds for r in sel])) if sel else None
+                    ),
                 )
+            )
     return cells
 
 

@@ -264,8 +264,7 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000):
     spacing = (1.0 - 2.0 * T_CLAMP) / (grid_points - 1)
     gate = max(2e-6, 2.0 * spacing)
     worst_gap = 0.0
-    sign_ok = True
-    interior = 0
+    interior = flagged = 0
     for _ in range(iterates):
         sig2 = [0.1] * K
         chans = channels.sample_estimation_channel(M, N, K, sig2, rng)
@@ -290,16 +289,15 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000):
         ts = np.linspace(T_CLAMP, 1.0 - T_CLAMP, grid_points)
         dv = np.sqrt(rho / (1.0 - ts)) * a - np.sqrt(rho / ts) * bb + c
         if dv[0] >= 0.0 or dv[-1] <= 0.0:
-            sign_ok = False
             continue
         interior += 1
         idx = int(np.argmax(dv >= 0.0))
         t_grid = 0.5 * (ts[idx - 1] + ts[idx])
         worst_gap = max(worst_gap, abs(t_star - t_grid))
-        if flag:
-            sign_ok = False
-    ok = sign_ok and interior == iterates and worst_gap <= gate
-    return ok, f"{interior}/{iterates} interior roots, worst |bisect-grid| {worst_gap:.2e}"
+        flagged += bool(flag)
+    ok = interior == iterates and not flagged and worst_gap <= gate
+    detail = f"{interior}/{iterates} interior roots, worst |bisect-grid| {worst_gap:.2e}"
+    return ok, detail + (f", boundary flags {flagged}" if flagged else "")
 
 
 @_check("power-conservation")

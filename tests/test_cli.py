@@ -549,7 +549,8 @@ def test_a_failed_fork_exits_2_naming_the_os_error(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(os, "fork", no_process)
     assert run_cli(*sweep_args(tmp_path, "--workers", "2")) == 2
-    assert capsys.readouterr().err == f"error: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EAGAIN}] cannot fork the worker of share 1 of 2: Resource temporarily unavailable\n"
     assert list(tmp_path.iterdir()) == []
     assert _no_child_left()
 

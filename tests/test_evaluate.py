@@ -279,6 +279,7 @@ def test_failure_rate_above_threshold_aborts(monkeypatch):
 
 
 def test_quantized_mode_records_effective_variance():
+    # quantized mode walks one sigma_e2 point, labelled None, whatever sigma_e2_grid holds
     cfg = small_config(
         M=4, N=1, K=2, csit="quantized", bits=3, sigma_e2_grid=(), draws=3, schemes=("mrt",)
     )
@@ -290,6 +291,11 @@ def test_quantized_mode_records_effective_variance():
         assert c.sigma_e2 is None and c.draws_used == 3
     fp = config_fingerprint(cfg)
     assert fp["csit"] == "quantized" and fp["bits"] == 3
+    two_snrs = replace(cfg, snr_db_grid=(0.0, 10.0), schemes=("mrt", "rwmmse"))
+    plain, gridded = (run_experiment(replace(two_snrs, sigma_e2_grid=g)) for g in ((), (0.1, 0.2)))
+    assert gridded.records == plain.records and gridded.cells == plain.cells
+    cells = [(c.snr_db, c.scheme, c.sigma_e2, c.draws_used) for c in gridded.cells]
+    assert cells == [(snr, s, None, 3) for snr in (0.0, 10.0) for s in ("mrt", "rwmmse")]
 
 
 @pytest.mark.parametrize(
@@ -466,8 +472,8 @@ def test_a_share_larger_than_the_pipe_buffer_completes(deadline):
 
 def test_a_failed_fork_raises_and_leaves_no_child_and_no_pipe(monkeypatch, deadline):
     # the first fork succeeds and the second finds no process to be had: the
-    # run raises that OSError, after killing and reaping the first child and
-    # closing both shares' pipes
+    # run raises that OSError's errno naming the share, after killing and
+    # reaping the first child and closing both shares' pipes
     real_fork, forked = os.fork, []
 
     def fork_once():
@@ -481,6 +487,7 @@ def test_a_failed_fork_raises_and_leaves_no_child_and_no_pipe(monkeypatch, deadl
     with pytest.raises(OSError) as failure:
         run_experiment(small_config(draws=6, schemes=("mrt",), workers=3))
     assert failure.value.errno == errno.EAGAIN and forked == [True]
+    assert failure.value.strerror == "cannot fork the worker of share 2 of 3: Resource temporarily unavailable"
     _assert_no_children()
     assert len(os.listdir("/proc/self/fd")) == len(fds)
 

@@ -39,12 +39,16 @@ def test_split_root_fails_when_the_derivative_keeps_its_sign(monkeypatch):
 
 
 def test_split_root_fails_on_a_boundary_flag(monkeypatch):
-    # the detail does not name the flag yet, so only the verdict is asserted
     real = selfcheck.solve_p3
     monkeypatch.setattr(selfcheck, "solve_p3", lambda *args: (real(*args)[0], "high"))
-    assert selfcheck.check_split_root(iterates=2, grid_points=1000).passed is False
+    result = selfcheck.check_split_root(iterates=2, grid_points=1000)
+    assert result.passed is False
+    assert result.detail.startswith("2/2 interior roots, ")
+    assert result.detail.endswith(", boundary flags 2")
     monkeypatch.setattr(selfcheck, "solve_p3", real)
-    assert selfcheck.check_split_root(iterates=2, grid_points=1000).passed
+    result = selfcheck.check_split_root(iterates=2, grid_points=1000)
+    assert result.passed
+    assert "boundary" not in result.detail
 
 
 def test_quantization_fails_when_the_runner_up_is_picked(monkeypatch):
