@@ -27,7 +27,7 @@ import math
 import os
 import pickle
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -166,72 +166,53 @@ def draw_channels(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     return chans, rho
 
 
-def _design_and_score(cfg: ExperimentConfig, chans, rho, snr_db, draw, scheme):
-    """One scheme's design on one draw: its DrawRecord, or a failure dict."""
-    start = time.perf_counter()
-    try:
-        P, iters, t_final, hits = design_precoders(
-            scheme, chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver
-        )
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        return {
-            "scheme": scheme,
-            "snr_db": snr_db,
-            "sigma_e2": chans.sigma_e2[0],
-            "draw": draw,
-            "error": str(exc),
-        }
-    seconds = time.perf_counter() - start if cfg.timing else 0.0
-    Rc, _, sum_rate = instantaneous_rates(chans.H, P, SIGMA_N2)
-    return DrawRecord(
-        scheme=scheme,
-        snr_db=snr_db,
-        sigma_e2=float(chans.sigma_e2[0]),
-        draw=draw,
-        sum_rate_bits=float(sum_rate),
-        rc_min_bits=float(min(Rc)),
-        iterations=int(iters),
-        t_final=float(t_final),
-        solver_seconds=float(seconds),
-        boundary_hits=int(hits),
-    )
-
-
 def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     """One paired work item: sample channels once, design and score every scheme.
 
     Where `proposed` starts all-private it is the `rwmmse` design step for
-    step, so when both are requested the first of them is designed and its
-    record or failure, solver_seconds included, stands for the other too.
+    step, so when both are requested only the first of them is designed and
+    scored, and its outcome, solver_seconds included, stands for the other too.
     A ValueError from the draw or a design is re-raised naming the item and scheme.
     """
     scheme = None
+    snr_db = cfg.snr_db_grid[snr_idx]
     try:
         chans, rho = draw_channels(cfg, sigma_idx, snr_idx, draw)
         all_private = initial_split(rho, max(chans.sigma_e2)) >= 1.0
         made, records, failures = {}, [], []
         for scheme in cfg.schemes:
             design = "rwmmse" if scheme == "proposed" and all_private else scheme
-            if design not in made:
-                made[design] = _design_and_score(cfg, chans, rho, cfg.snr_db_grid[snr_idx], draw, scheme)
+            if design not in made:  # the design's error text, or the DrawRecord fields it measured
+                start = time.perf_counter()
+                try:
+                    P, iters, t_final, hits = design_precoders(
+                        scheme, chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver
+                    )
+                except (RuntimeError, np.linalg.LinAlgError) as exc:
+                    made[design] = str(exc)
+                else:
+                    seconds = time.perf_counter() - start if cfg.timing else 0.0
+                    Rc, _, sum_rate = instantaneous_rates(chans.H, P, SIGMA_N2)
+                    made[design] = dict(
+                        sum_rate_bits=float(sum_rate),
+                        rc_min_bits=float(min(Rc)),
+                        iterations=int(iters),
+                        t_final=float(t_final),
+                        solver_seconds=float(seconds),
+                        boundary_hits=int(hits),
+                    )
+            label = dict(scheme=scheme, snr_db=snr_db, sigma_e2=float(chans.sigma_e2[0]), draw=draw)
             outcome = made[design]
-            if isinstance(outcome, DrawRecord):
-                records.append(replace(outcome, scheme=scheme))
+            if isinstance(outcome, str):
+                failures.append({**label, "error": outcome})
             else:
-                failures.append({**outcome, "scheme": scheme})
+                records.append(DrawRecord(**label, **outcome))
     except ValueError as exc:
         sigma_e2 = cfg.sigma_points[sigma_idx]
         grid = f"quantized {cfg.bits} bits" if sigma_e2 is None else f"sigma_e2={sigma_e2}"
-        item = f"snr_db={cfg.snr_db_grid[snr_idx]}, draw={draw}" + (f", scheme={scheme}" if scheme else "")
+        item = f"snr_db={snr_db}, draw={draw}" + (f", scheme={scheme}" if scheme else "")
         raise ValueError(f"{grid}, {item}: {exc}") from exc
     return records, failures
-
-
-def _item_args(cfg: ExperimentConfig):
-    for sigma_idx in range(len(cfg.sigma_points)):
-        for snr_idx in range(len(cfg.snr_db_grid)):
-            for draw in range(cfg.draws):
-                yield (cfg, sigma_idx, snr_idx, draw)
 
 
 class WorkerDied(RuntimeError):
@@ -337,7 +318,8 @@ def _run_items(items, workers):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full grid; deterministic for a given config regardless of workers."""
-    items = list(_item_args(cfg))
+    points = product(range(len(cfg.sigma_points)), range(len(cfg.snr_db_grid)), range(cfg.draws))
+    items = [(cfg, *point) for point in points]
     outputs = _run_items(items, cfg.workers)
     records = [r for rs, _ in outputs for r in rs]
     failures = [f for _, fs in outputs for f in fs]

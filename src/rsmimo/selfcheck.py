@@ -24,6 +24,7 @@ from .rates import (
     herm,
     instantaneous_rates,
     objective_f1,
+    side_by_side,
     weights,
 )
 from .solver import T_CLAMP, SolverConfig, run, solve_p1, solve_p2, solve_p3
@@ -137,8 +138,7 @@ def check_mmse_inverse_identity(seed=0, instances=1000):
         Sc = Hh.conj().T @ P.Pc
         Jc = Hh.conj().T @ Ppriv @ Ppriv.conj().T @ Hh + (sig2 * P.power() + 1.0) * np.eye(N)
         sinr_c = Sc.conj().T @ np.linalg.solve(Jc, Sc)
-        others = [P.Pp[j] for j in range(K) if j != k]
-        Po = np.concatenate(others, axis=1)
+        Po = side_by_side(np.delete(P.Pp, k, axis=0))
         tr_priv = float(np.sum(np.abs(Ppriv) ** 2))
         Sp = Hh.conj().T @ P.Pp[k]
         Jp = Hh.conj().T @ Po @ Po.conj().T @ Hh + (sig2 * tr_priv + 1.0) * np.eye(N)
@@ -181,24 +181,19 @@ def check_quadratic_expectation(seed=1, draws=200_000):
 
 
 def _fd_gradient(fun, P0: PrecoderSet, h=1e-6):
-    """Central-difference gradient over every complex coordinate of every block."""
-    blocks = [P0.Pc] + list(P0.Pp)
-    K = len(P0.Pp)
-    grads = []
-    for bi in range(K + 1):
-        g = np.zeros_like(blocks[bi])
-        for i in range(blocks[bi].shape[0]):
-            for j in range(blocks[bi].shape[1]):
-                for direction in (1.0, 1j):
-                    bumped = [b.copy() for b in blocks]
-                    bumped[bi][i, j] += h * direction
-                    fp = fun(PrecoderSet(Pc=bumped[0], Pp=bumped[1:], rho=P0.rho))
-                    bumped = [b.copy() for b in blocks]
-                    bumped[bi][i, j] -= h * direction
-                    fm = fun(PrecoderSet(Pc=bumped[0], Pp=bumped[1:], rho=P0.rho))
-                    g[i, j] += direction * (fp - fm) / (2.0 * h)
-        grads.append(g)
-    return np.concatenate(grads, axis=1)
+    """Central-difference gradient over every complex coordinate of the stacked
+    precoders [Pc, P_1, ..., P_K], returned side by side as M x N(K+1)."""
+    X = np.concatenate([P0.Pc[None], P0.Pp])
+    g = np.zeros_like(X)
+    for idx in np.ndindex(X.shape):
+        for direction in (1.0, 1j):
+            plus, minus = X.copy(), X.copy()
+            plus[idx] += h * direction
+            minus[idx] -= h * direction
+            fp = fun(PrecoderSet(Pc=plus[0], Pp=plus[1:], rho=P0.rho))
+            fm = fun(PrecoderSet(Pc=minus[0], Pp=minus[1:], rho=P0.rho))
+            g[idx] += direction * (fp - fm) / (2.0 * h)
+    return side_by_side(g)
 
 
 @_check("gradient-equality", seconds=60.0)

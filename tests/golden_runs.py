@@ -2,7 +2,9 @@
 
 `tests/test_golden.py` reruns each command in `RUNS` in-process through
 `cli.parse_and_run` and compares its CSV and JSON with the files in
-`tests/golden/`, the version line masked. After a deliberate change of
+`tests/golden/`, the version line masked. `tests/test_acceptance.py` compares
+each check's detail line with `tests/golden/battery.json`, the detail of
+every check of the full battery by name. After a deliberate change of
 numbers, regenerate the files with
 
     PYTHONPATH=src python3 tests/golden_runs.py
@@ -25,9 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from rsmimo import cli
+from rsmimo import cli, selfcheck
+from rsmimo.evaluate import json_text
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+BATTERY = GOLDEN_DIR / "battery.json"
 COMMON = ["--no-timing", "--format", "both", "--workers", "1", "--seed", "7"]
 ESTIMATION = ["--snr-db", "0:20:60", "--sigma-e2", "0.1,0.9", "--draws", "3"]
 # name -> (subcommand and flags, the file stem the subcommand writes)
@@ -139,6 +143,12 @@ def report(name: str, old: dict, new: dict) -> list:
     return lines + _cdf_report(old[".json"], new[".json"])
 
 
+def battery_details() -> dict:
+    """{check name: detail} of `selfcheck.run_all` at full sizes, check i with seed i."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return {r.name: r.detail for r in selfcheck.run_all()}
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in RUNS:
@@ -147,6 +157,12 @@ def main() -> int:
             print("\n".join(report(name, golden(name), new)) or f"{name}: unchanged")
         for suffix, text in new.items():
             (GOLDEN_DIR / (name + suffix)).write_text(text)
+    details = battery_details()
+    if BATTERY.exists():
+        old = json.loads(BATTERY.read_text())
+        moved = [f"  {n}: {old.get(n)!r} -> {d!r}" for n, d in details.items() if old.get(n) != d]
+        print("\n".join(["battery:", *moved]) if moved else "battery: unchanged")
+    BATTERY.write_text(json_text(details))
     return 0
 
 

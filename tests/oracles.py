@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from rsmimo.channels import complex_gaussian
-from rsmimo.rates import checked_real
+from rsmimo.rates import PrecoderSet, checked_real
 
 
 def chordal_distance_svd(X, C):
@@ -478,7 +478,8 @@ def per_user_solver(H_hat, sigma_e2, rho, sigma_n2, max_iters=100, obj_tol=1e-4,
 # solves and the power-split bisection as they stood before their numpy and
 # Python calls were trimmed (eager F, G and MMSE error matrices, a symmetrized
 # Gram matrix, diagonal shifts through np.eye, the split derivative as a
-# closure). The trimmed kernels must reproduce them bit for bit.
+# closure), and the battery's finite-difference gradient as a per-block loop.
+# The trimmed code must reproduce them bit for bit.
 
 
 def _h(A):
@@ -592,3 +593,25 @@ def frozen_solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
         else:
             hi = mid
     return 0.5 * (lo + hi), ""
+
+
+def frozen_fd_gradient(fun, P0, h=1e-6):
+    """Central differences of fun over every complex coordinate of every block
+    of the PrecoderSet P0, block by block, then row by row and column by column;
+    the blocks' gradients side by side, M x N(K+1)."""
+    blocks = [P0.Pc] + list(P0.Pp)
+    grads = []
+    for bi in range(len(blocks)):
+        g = np.zeros_like(blocks[bi])
+        for i in range(blocks[bi].shape[0]):
+            for j in range(blocks[bi].shape[1]):
+                for direction in (1.0, 1j):
+                    bumped = [b.copy() for b in blocks]
+                    bumped[bi][i, j] += h * direction
+                    fp = fun(PrecoderSet(Pc=bumped[0], Pp=bumped[1:], rho=P0.rho))
+                    bumped = [b.copy() for b in blocks]
+                    bumped[bi][i, j] -= h * direction
+                    fm = fun(PrecoderSet(Pc=bumped[0], Pp=bumped[1:], rho=P0.rho))
+                    g[i, j] += direction * (fp - fm) / (2.0 * h)
+        grads.append(g)
+    return np.concatenate(grads, axis=1)

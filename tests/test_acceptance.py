@@ -1,24 +1,32 @@
 # Acceptance battery: the ten primary checks at full sizes and tolerances.
-# Each test emits one PASS/FAIL line (terminal summary) and asserts the result.
+# Each test emits one PASS/FAIL line (terminal summary), asserts the result
+# and compares the check's detail with tests/golden/battery.json.
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from conftest import record_verdict
+from golden_runs import BATTERY
 from rsmimo import selfcheck
 from rsmimo.evaluate import ExperimentConfig, csv_text, run_experiment
 from rsmimo.solver import SolverConfig
 
 WORKERS = min(4, os.cpu_count() or 1)
+GOLDEN_DETAILS = json.loads(BATTERY.read_text())
 
 
 def _report(result):
     status = "PASS" if result.passed else "FAIL"
     record_verdict(f"{status} {result.name}: {result.detail} [{result.seconds:.1f}s]")
     assert result.passed, f"{result.name}: {result.detail}"
+    assert result.detail == GOLDEN_DETAILS[result.name], (
+        f"{result.name}: detail moved from {GOLDEN_DETAILS[result.name]!r}; "
+        "after a deliberate change of numbers, rerun tests/golden_runs.py"
+    )
     return result
 
 

@@ -1,13 +1,33 @@
 # Every gate of the acceptance battery can fail: each test plants one fault
-# in what a check calls and asserts that the check fails and says why.
+# in what a check calls and asserts that the check fails and says why. The
+# battery's finite-difference gradient is pinned against its per-block loop.
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from oracles import frozen_fd_gradient
 from rsmimo import channels, selfcheck
+from rsmimo.rates import objective_f1
+
+
+@pytest.mark.parametrize("M, N, K", [(4, 2, 3), (3, 2, 1), (4, 1, 3)])
+def test_fd_gradient_matches_the_per_block_loop(M, N, K):
+    # the stacked bumps visit the coordinates in the loop's order and must
+    # give the same bits, for a nonlinear objective of every block
+    rng = np.random.default_rng(M * 100 + N * 10 + K)
+    H_hat = [channels.complex_gaussian(rng, (M, N)) for _ in range(K)]
+    P0 = selfcheck._random_precoders(rng, M, N, K, 31.6)
+
+    def f1(P):
+        return objective_f1(H_hat, [0.1] * K, P, 1.0)
+
+    g = selfcheck._fd_gradient(f1, P0)
+    assert g.shape == (M, N * (K + 1))
+    assert g.tobytes() == frozen_fd_gradient(f1, P0).tobytes()
 
 
 def test_descent_fails_on_a_rising_trace(monkeypatch):

@@ -176,16 +176,23 @@ def test_private_block_power_and_kkt():
 
 
 def test_private_block_rejects_degenerate_filters_and_bad_split():
+    # all-zero filters give tr(W D D^H) = 0, and for the common block A = 0,
+    # so each multiplier is 0; each case must hit the guard it names
     rng = make_rng(27)
     H_hat, s2 = random_instance(rng, 6, 2, 2, 0.2)
     Dp, Wp = random_filters(rng, 6, 2, 2)
     zero = [np.zeros((2, 2), dtype=complex)] * 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-positive private multiplier"):
         solve_p1(H_hat, s2, zero, Wp, 50.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        solve_p1(H_hat, s2, Dp, Wp, 50.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_p1(H_hat, s2, Dp, Wp, 50.0, 1.5, 1.0)
+    for t_star in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"t_star must lie in \(0, 1\]"):
+            solve_p1(H_hat, s2, Dp, Wp, 50.0, t_star, 1.0)
+    Pp_cat, _, _ = solve_p1(H_hat, s2, Dp, Wp, 50.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="non-positive common multiplier"):
+        solve_p2(H_hat, s2, zero, Wp, Pp_cat, 50.0, 0.5, 1.0)
+    for t_star in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"t_star must lie in \(0, 1\)"):
+            solve_p2(H_hat, s2, Dp, Wp, Pp_cat, 50.0, t_star, 1.0)
 
 
 def test_error_term_scalar_shortcut_matches_diagonal_operator():
