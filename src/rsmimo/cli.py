@@ -169,13 +169,13 @@ def _one_point(res, command):
     return cfg, cfg.snr_db_grid[0], cfg.sigma_points[0]
 
 
-def _write(out: Path, fmt: str, texts: dict):
-    """Write each named text whose suffix fmt selects ('both' selects all), in order."""
-    for name, text in texts.items():
-        if fmt in ("both", Path(name).suffix[1:]):
-            with open(out / name, "w", newline="\n") as fh:
-                fh.write(text)
-            print(f"wrote {out / name}")
+def _write(res, stem, csv, json_doc):
+    """Write <stem>.csv, then <stem>.json, into --out-dir, as --format selects."""
+    for suffix, text in (("csv", csv), ("json", json_doc)):
+        if res["format"] in ("both", suffix):
+            path = res["out_dir"] / f"{stem}.{suffix}"
+            path.write_text(text, newline="\n")
+            print(f"wrote {path}")
 
 
 def _cmd_sweep(args) -> int:
@@ -185,8 +185,7 @@ def _cmd_sweep(args) -> int:
         sig = "quantized" if cell.sigma_e2 is None else f"{cell.sigma_e2:g}"
         esr = "no draws" if cell.esr_bits is None else f"{cell.esr_bits:.3f}±{cell.std_err:.3f} bits"
         print(f"sigma_e2={sig} snr_db={cell.snr_db:g} {cell.scheme}: {esr} ({cell.draws_used} draws, {cell.failures} failed)")
-    texts = {"sweep.csv": csv_text(result), "sweep.json": json_summary(result)}
-    _write(res["out_dir"], res["format"], texts)
+    _write(res, "sweep", csv_text(result), json_summary(result))
     return 0
 
 
@@ -213,11 +212,7 @@ def _cmd_converge(args) -> int:
     lines = ["run,iteration,objective_nats"]
     for i, tr in enumerate(traces):
         lines.extend(f"{i},{j},{v:.10g}" for j, v in enumerate(tr))
-    texts = {
-        "converge.json": json_text(payload),
-        "converge.csv": "\n".join(lines) + "\n",
-    }
-    _write(res["out_dir"], res["format"], texts)
+    _write(res, "converge", "\n".join(lines) + "\n", json_text(payload))
     print(
         f"{len(traces)} runs, median {np.median(iters):.0f} iterations, "
         f"max {max(iters)} at snr_db={snr:g}"
@@ -251,11 +246,7 @@ def _cmd_cdf(args) -> int:
         "version": version_string(),
         "summary": summary,
     }
-    texts = {
-        "cdf.csv": "\n".join(lines) + "\n",
-        "cdf.json": json_text(payload),
-    }
-    _write(res["out_dir"], res["format"], texts)
+    _write(res, "cdf", "\n".join(lines) + "\n", json_text(payload))
     return 0
 
 

@@ -81,10 +81,12 @@ def test_sweep_outputs_parse_and_summarize():
 
 # per-layer metrics that a workload's own traced pass cannot reach; the run
 # fills them from probes (channels) or from a small sweep (evaluate, cli)
+QUANTIZED_LAYERS = {"channels.random_codebook.ms", "channels.quantize_channel.ms",
+                    "channels.quantized_csit_from_channels.ms"}
 PROBE_FILLED = {
-    "headline": {"channels.random_codebook.ms", "channels.quantize_channel.ms",
-                 "channels.quantized_csit_from_channels.ms"},
+    "headline": QUANTIZED_LAYERS,
     "limited_feedback": {"channels.sample_estimation_channel.us"},
+    "snr_sweep": QUANTIZED_LAYERS,
 }
 
 
@@ -98,5 +100,21 @@ def test_traced_pass_measures_every_layer_it_reaches(workload):
     assert failed == 0
     assert tracer.absent == []
     own = set(workloads.PER_LAYER_UNITS) - set(workloads.SWEEP_LAYER_METRICS) - PROBE_FILLED[workload]
+    assert own <= set(values), sorted(own - set(values))
+    assert {name: v for name, v in values.items() if not math.isfinite(v)} == {}
+
+
+def test_traced_sweep_measures_every_layer_it_reaches(tmp_path):
+    # snr_sweep's traced pass: the grid run in-process untraced and traced,
+    # then once through the command line. A batched sweep that skips a
+    # wrapped name leaves its metric null here.
+    ctx = workloads.prepare(ROOT, "snr_sweep", seed=1)
+    ctx.out_root = tmp_path
+    argv, grid = workloads.sweep_inputs(ctx, workloads.PROBE_SNR_DB, workloads.PROBE_DRAWS, 1)
+    values, _, failed, problems, _, tracer = workloads.sweep_layers(ctx, grid, argv)
+    assert problems == []
+    assert failed == 0
+    assert tracer.absent == []
+    own = set(workloads.PER_LAYER_UNITS) - PROBE_FILLED["snr_sweep"]
     assert own <= set(values), sorted(own - set(values))
     assert {name: v for name, v in values.items() if not math.isfinite(v)} == {}

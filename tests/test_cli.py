@@ -245,10 +245,16 @@ def test_sweep_says_when_a_cell_has_no_draws(tmp_path, capsys, monkeypatch):
     assert "nan" not in "\n".join(lines)
 
 
-def test_sweep_format_csv_only(tmp_path):
-    assert run_cli(*sweep_args(tmp_path, "--format", "csv")) == 0
-    assert (tmp_path / "sweep.csv").is_file()
-    assert not (tmp_path / "sweep.json").exists()
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("command", ["sweep", "converge", "cdf"])
+def test_format_selects_the_files(tmp_path, capsys, command, fmt):
+    # each command writes <command>.csv, then <command>.json, as --format selects
+    point = ("--m", "4", "--n", "2", "--k", "2", "--snr-db", "10", "--sigma-e2", "0.1", "--draws", "1")
+    assert run_cli(command, *point, "--schemes", "proposed,mrt", "--format", fmt, "--out-dir", str(tmp_path)) == 0
+    suffixes = ["csv", "json"] if fmt == "both" else [fmt]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.{s}" for s in suffixes]
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {tmp_path / command}.{s}" for s in suffixes]
 
 
 def test_sweep_identical_bytes_across_workers(tmp_path):
