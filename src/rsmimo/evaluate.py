@@ -12,7 +12,10 @@ items, so only outputs cross a pipe, and the outputs are put back in item
 order. A share stops at its first failing item; the earliest failing item of
 the grid is re-raised. A child that dies without sending its outputs raises
 WorkerDied, before this process starts its next item of share 0 or, once
-share 0 is done, when the child's pipe is read. os.fork is required for
+share 0 is done, when the child's pipe is read. On an error or a Ctrl-C,
+this process kills and reaps every child it has forked: from the main thread
+it holds SIGINT while it forks and records a child and while it reaps one,
+and a child forked there leaves SIGINT to it. os.fork is required for
 workers > 1.
 
 csv_text and json_summary stamp their text with version_string(), which runs
@@ -26,7 +29,10 @@ import json
 import math
 import os
 import pickle
+import signal
+import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
@@ -172,7 +178,9 @@ def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
     Where `proposed` starts all-private it is the `rwmmse` design step for
     step, so when both are requested only the first of them is designed and
     scored, and its outcome, solver_seconds included, stands for the other too.
-    A ValueError from the draw or a design is re-raised naming the item and scheme.
+    A design that fails, or whose scored rates are not all finite, is recorded
+    as a failure of each scheme it stands for. A ValueError from the draw or a
+    design is re-raised naming the item and scheme.
     """
     scheme = None
     snr_db = cfg.snr_db_grid[snr_idx]
@@ -193,14 +201,17 @@ def _run_draw(cfg: ExperimentConfig, sigma_idx, snr_idx, draw):
                 else:
                     seconds = time.perf_counter() - start if cfg.timing else 0.0
                     Rc, _, sum_rate = instantaneous_rates(chans.H, P, SIGMA_N2)
-                    made[design] = dict(
-                        sum_rate_bits=float(sum_rate),
-                        rc_min_bits=float(min(Rc)),
-                        iterations=int(iters),
-                        t_final=float(t_final),
-                        solver_seconds=float(seconds),
-                        boundary_hits=int(hits),
-                    )
+                    if not np.isfinite([sum_rate, *Rc]).all():  # a NaN must reach no output
+                        made[design] = f"scored rates are not finite: sum rate {sum_rate}, common rates {Rc}"
+                    else:
+                        made[design] = dict(
+                            sum_rate_bits=float(sum_rate),
+                            rc_min_bits=float(min(Rc)),
+                            iterations=int(iters),
+                            t_final=float(t_final),
+                            solver_seconds=float(seconds),
+                            boundary_hits=int(hits),
+                        )
             label = dict(scheme=scheme, snr_db=snr_db, sigma_e2=float(chans.sigma_e2[0]), draw=draw)
             outcome = made[design]
             if isinstance(outcome, str):
@@ -233,22 +244,39 @@ def _run_share(share, poll=lambda: None):
     return outputs, None
 
 
-def _fork_share(share):
-    """Fork a child that runs one share and pickles _run_share's pair into a
-    pipe; returns (pid, the pipe's read end as a binary file)."""
+@contextmanager
+def _sigint_held():
+    """Hold SIGINT for the block, whichever thread of the process it reaches: one
+    that arrives meanwhile is recorded, and raised again through the handler
+    in place before once the block ends. Call it from the main thread only,
+    where Python sets and runs signal handlers."""
+    held = []
+    handler = signal.signal(signal.SIGINT, lambda *args: held.append(args))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, handler)
+        if held:
+            signal.raise_signal(signal.SIGINT)
+
+
+def _fork_share(items, w, W):
+    """Fork a child that runs share w of W, items[w::W], and pickles _run_share's
+    pair into a pipe; returns (pid, the pipe's read end as a binary file). A
+    refused fork raises an OSError of its errno naming the share."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to be had: the pipe goes with the error
+    except OSError as exc:  # no process to be had: the pipe goes with the error
         os.close(read_fd)
         os.close(write_fd)
-        raise
-    if pid == 0:
+        raise OSError(exc.errno, f"cannot fork the worker of share {w} of {W}: {exc.strerror}") from exc
+    if pid == 0:  # forked inside _sigint_held, the child keeps its recording SIGINT handler
         status = 1
         try:  # the child never returns into the parent's stack, whatever happens
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_run_share(share), pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_run_share(items[w::W]), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -259,57 +287,47 @@ def _fork_share(share):
 def _run_items(items, workers):
     """_run_draw's output for every item, in item order, from W interleaved shares.
 
-    A refused fork raises an OSError of its errno naming the share. A child
-    that ends without sending its share raises WorkerDied naming the share
-    and how the child ended; before each of its own items, this process
-    reaps the children that have ended, without waiting for the others. On
-    any error or interrupt, the children not yet reaped are killed; every
-    child is reaped before this returns.
+    A refused fork raises _fork_share's OSError. A child that ends without
+    sending its share raises WorkerDied naming the share and how the child
+    ended; before each of its own items, this process reaps the children that
+    have ended, without waiting for the others. On any error or interrupt, the
+    children not yet reaped are killed; every child is reaped before this
+    returns. In the main thread, SIGINT is held while a child is forked and
+    recorded and while one is reaped, so a Ctrl-C finds in pids every child
+    there is to kill, and no child that is gone.
     """
     W = min(workers, len(items))
-    children = {}  # share -> (pid, pipe) until its pipe is read
-    statuses = {}  # share -> wait status, once its child is reaped
+    pids, pipes = {}, {}  # share -> its child's pid until reaped, and its pipe's read end until read
+    hold = _sigint_held if threading.current_thread() is threading.main_thread() else nullcontext
 
-    def reap(w, flags=0):
-        """Reap share w's child if not yet reaped (with os.WNOHANG, only once it has ended);
-        raise WorkerDied if it died."""
-        pid = children[w][0]
-        if w not in statuses:
-            done, status = os.waitpid(pid, flags)
-            if not done:
-                return
-            statuses[w] = status
-        code = os.waitstatus_to_exitcode(statuses[w])
-        if code:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
-
-    def poll():
-        for w in children:
-            reap(w, os.WNOHANG)
+    def reap(shares, flags=0):
+        """Reap the children of shares (with os.WNOHANG, only those that have ended);
+        raise WorkerDied for one that died."""
+        for w in shares:
+            with hold():
+                pid, status = os.waitpid(pids[w], flags)
+                if pid:
+                    del pids[w]
+            if code := os.waitstatus_to_exitcode(status):  # 0 also for a child that has not ended
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
 
     try:
         for w in range(1, W):
-            try:
-                children[w] = _fork_share(items[w::W])
-            except OSError as exc:
-                raise OSError(exc.errno, f"cannot fork the worker of share {w} of {W}: {exc.strerror}") from exc
-        shares = [_run_share(items[0::W], poll)]
+            with hold():
+                pids[w], pipes[w] = _fork_share(items, w, W)
+        shares = [_run_share(items[0::W], lambda: reap(list(pids), os.WNOHANG))]
         for w in range(1, W):
-            with children[w][1] as pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
+            with pipes.pop(w) as pipe:  # read to EOF before waitpid: a child blocks on a full pipe until it is read
                 data = pipe.read()
-            reap(w)
-            del children[w]
+            reap(pids.keys() & {w})  # unless a poll has reaped it already
             shares.append(pickle.loads(data))
     finally:
-        if children:  # after an error or an interrupt only
-            import signal
-
-            for w, (pid, pipe) in children.items():
-                pipe.close()
-                if w not in statuses:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     failed = [(w + len(outputs) * W, exc) for w, (outputs, exc) in enumerate(shares) if exc is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
@@ -425,8 +443,9 @@ def csv_text(result: ExperimentResult) -> str:
 
 
 def json_text(payload) -> str:
-    """The JSON text of every output file: sorted keys, two-space indent, a final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The JSON text of every output file: sorted keys, two-space indent, a final newline.
+    A NaN or an infinity, which JSON cannot hold, raises a ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def json_summary(result: ExperimentResult) -> str:

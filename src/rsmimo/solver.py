@@ -276,8 +276,8 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
     a split that ends with 1 - 1e-4 < t < 1 is rebalanced to all-private after
     the last sweep, measured like a sweep: the rebalance is kept, and its
     objective appended to the trace, only if it does not raise the objective.
-    A breakdown in a sweep, a vanished common direction among them, raises a
-    RuntimeError that names the iteration.
+    A breakdown in a sweep, a vanished common direction or a non-finite
+    objective among them, raises a RuntimeError that names the iteration.
     The bundles behind each accepted objective value serve the next sweep's
     private block, so a sweep computes bundles twice (once if all-private),
     and an extrapolated point and a final rebalance once more.
@@ -330,6 +330,8 @@ def run(H_hat, sigma_e2, rho, sigma_n2, cfg: SolverConfig = SolverConfig(), forc
             P_new, t_new, bundles_new, f_new = sweep(it, x)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RuntimeError(f"iteration {it}: {exc}") from exc
+        if not math.isfinite(f_new):  # else both tests below read it as an overshoot
+            raise RuntimeError(f"iteration {it}: objective is not finite ({f_new})")
 
         converged = f_cur - f_new < cfg.obj_tol * abs(f_cur)
         if f_new <= f_cur:  # a sweep that overshot is discarded, and then converged holds

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import pickle
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -86,10 +88,19 @@ def test_schemes_share_the_same_channel_draw():
 
 def test_results_identical_across_worker_counts():
     texts = []
-    for workers in (1, 2, 3, 32):  # 32 is capped at one share per item
+
+    def run(workers):
         result = run_experiment(small_config(draws=5, workers=workers))
         texts.append((csv_text(result), json_summary(result)))
-    assert texts[1:] == texts[:1] * 3
+
+    for workers in (1, 2, 3, 32):  # 32 is capped at one share per item
+        run(workers)
+    # off the main thread, where Python runs no signal handler, workers fork all the same
+    thread = threading.Thread(target=run, args=(2,))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    assert texts[1:] == texts[:1] * 4
 
 
 def test_fingerprint_excludes_workers_but_keeps_model_fields():
@@ -269,6 +280,29 @@ def test_failures_are_recorded_and_excluded(monkeypatch):
         assert type(entry["boundary_hits"]) is int
 
 
+def test_a_non_finite_scored_rate_is_recorded_as_a_failure(monkeypatch):
+    # finite designs should score finite rates; a NaN that scoring gives all
+    # the same is a failure of its scheme, SNR and draw, and reaches no output
+    calls = []
+
+    def nan_at_seventh(H, P, sigma_n2):  # the 7th design is draw 3's mrt
+        calls.append(True)
+        Rc, Rp, total = instantaneous_rates(H, P, sigma_n2)
+        return ([np.nan] * len(Rc), Rp, np.nan) if len(calls) == 7 else (Rc, Rp, total)
+
+    monkeypatch.setattr(evaluate, "instantaneous_rates", nan_at_seventh)
+    result = run_experiment(small_config(draws=51))  # 102 attempts, so one failure stays under 1%
+    (failure,) = result.failures
+    assert failure == dict(scheme="mrt", snr_db=10.0, sigma_e2=0.3, draw=3,
+                           error="scored rates are not finite: sum rate nan, common rates [nan, nan]")
+    assert len(result.records) == 101 and ("mrt", 3) not in {(r.scheme, r.draw) for r in result.records}
+    assert "nan" not in csv_text(result)
+    payload = json.loads(json_summary(result), parse_constant=pytest.fail)
+    assert payload["failures"] == [failure] and all(math.isfinite(c["esr_bits"]) for c in payload["cells"])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        evaluate.json_text({"esr_bits": float("nan")})
+
+
 def test_failure_rate_above_threshold_aborts(monkeypatch):
     def broken(scheme, *args, **kwargs):
         raise RuntimeError("synthetic failure")
@@ -433,28 +467,36 @@ def test_a_killed_child_is_named_not_waited_for(monkeypatch, deadline):
 
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="the planted item waits for the death with os.waitid")
 def test_a_dead_child_ends_the_run_before_this_process_designs_another_item(monkeypatch, deadline):
-    # share 1's child dies on its first item, and this process's first item
-    # returns only once that child is dead (not yet reaped): the run must
-    # stop before this process starts its second item
+    # share 1's child dies on its first item once this process's first item
+    # has let it, through a pipe, and that item returns only once the child
+    # is dead (not yet reaped): so the child is alive at the poll before item
+    # 0, and the run must stop before this process starts its second item
     real_draw, real_fork, parent = evaluate._run_draw, evaluate._fork_share, os.getpid()
     pids, designed = [], []
+    go_read, go_write = os.pipe()
 
-    def forking(share):
-        pid, pipe = real_fork(share)
+    def forking(*args):
+        pid, pipe = real_fork(*args)
         pids.append(pid)
         return pid, pipe
 
     def dying(*args):
         if os.getpid() != parent:
+            os.read(go_read, 1)
             os.kill(os.getpid(), signal.SIGKILL)
+        os.write(go_write, b"x")
         os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
         designed.append(args[-1])
         return real_draw(*args)
 
     monkeypatch.setattr(evaluate, "_fork_share", forking)
     monkeypatch.setattr(evaluate, "_run_draw", dying)
-    with pytest.raises(evaluate.WorkerDied, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
-        run_experiment(small_config(draws=6, schemes=("mrt",), workers=2))
+    try:
+        with pytest.raises(evaluate.WorkerDied, match=r"^worker of share 1 of 2 \(pid \d+\) was killed by signal 9 "):
+            run_experiment(small_config(draws=6, schemes=("mrt",), workers=2))
+    finally:
+        os.close(go_read)
+        os.close(go_write)
     assert designed == [0]
     _assert_no_children()
 
@@ -490,6 +532,40 @@ def test_a_failed_fork_raises_and_leaves_no_child_and_no_pipe(monkeypatch, deadl
     assert failure.value.strerror == "cannot fork the worker of share 2 of 3: Resource temporarily unavailable"
     _assert_no_children()
     assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+AT_FORK_INTERRUPT = """
+import functools, os, signal, sys, threading, time
+from rsmimo.evaluate import ExperimentConfig, run_experiment
+if sys.argv[1] == "two-threads":  # a second thread, which leaves SIGINT unblocked as a BLAS pool's do
+    threading.Thread(target=time.sleep, args=(60,), daemon=True).start()
+os.register_at_fork(before=functools.partial(os.kill, os.getpid(), signal.SIGINT))
+run_experiment(ExperimentConfig(M=4, N=1, K=2, snr_db_grid=(10.0,), sigma_e2_grid=(0.3,), draws=4000,
+                                schemes=("mrt",), seed=5, workers=2, timing=False))
+"""
+
+
+@pytest.mark.parametrize("threads", ["one-thread", "two-threads"])
+def test_an_interrupt_at_the_fork_ends_the_run_and_leaves_no_process(tmp_path, threads):
+    # the fork hook sends SIGINT to the run's own process before the child
+    # exists, so only that process can end the child: the interrupt must end
+    # the run, and once the process has exited no process of its group is left
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsmimo.__file__)), OPENBLAS_NUM_THREADS="1")
+    with open(tmp_path / "stderr", "w") as err:  # a pipe would wait for a stray child to close it
+        proc = subprocess.Popen([sys.executable, "-c", AT_FORK_INTERRUPT, threads], env=env,
+                                start_new_session=True, stderr=err)
+    try:
+        code = proc.wait(timeout=60)
+        stderr = (tmp_path / "stderr").read_text()
+        assert code == -signal.SIGINT and stderr.rstrip().endswith("KeyboardInterrupt"), stderr
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # whatever a failure left of the group
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_workers_need_fork(monkeypatch):

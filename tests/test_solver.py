@@ -469,6 +469,22 @@ def test_run_raises_on_a_nan_power_naming_the_iteration(monkeypatch, rho):
         run(H_hat, s2, rho, 1.0, SolverConfig(max_iters=5))
 
 
+def test_run_raises_on_a_nan_objective_naming_the_iteration(monkeypatch):
+    # a NaN objective fails both of run's comparisons: read as an overshoot,
+    # its sweep would be discarded and the run would go on
+    f1, calls = solver.f1_from_bundles, []
+
+    def nan_at_second_sweep(bundles):
+        calls.append(True)
+        return np.nan if len(calls) == 3 else f1(bundles)  # the start, then one value per sweep
+
+    monkeypatch.setattr(solver, "f1_from_bundles", nan_at_second_sweep)
+    H_hat, s2 = random_instance(make_rng(39), 8, 2, 4, 0.1)
+    with pytest.raises(RuntimeError, match=r"^iteration 1: objective is not finite \(nan\)$"):
+        run(H_hat, s2, 100.0, 1.0, SolverConfig(max_iters=5))
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("count", [0, 3])
 def test_run_names_the_counts_of_a_short_error_variance_list(count):
     # an empty list gets the same count-naming error as a short one
