@@ -16,6 +16,7 @@ from .evaluate import (
     SIGMA_N2,
     ExperimentConfig,
     WorkerDied,
+    _run_items,
     csv_text,
     draw_channels,
     empirical_cdf,
@@ -52,7 +53,7 @@ HELP = {
     "sigma_e2": "grid: start:step:stop or comma list",
     "schemes": "comma list from: " + ", ".join(SCHEMES),
     "timing": "write zeros in the solver_seconds column for byte-reproducible output",
-    "workers": "processes that design the draws of sweep and cdf; converge ignores it and designs in one process",
+    "workers": "processes that design the draws",
 }
 
 
@@ -189,18 +190,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _trace(cfg, draw):
+    """A converge work item: the objective trace of one draw's proposed design, and its sweep count."""
+    chans, rho = draw_channels(cfg, 0, 0, draw)
+    st = run(chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver)
+    return [float(v) for v in st.objective_trace], st.iterations
+
+
 def _cmd_converge(args) -> int:
     res = _resolve(args)
     cfg, snr, sigma_e2 = _one_point(res, "converge")
     if "proposed" not in cfg.schemes:
         raise ValueError("converge traces the proposed design; --schemes must include proposed")
-    traces = []
-    iters = []
-    for draw in range(cfg.draws):
-        chans, rho = draw_channels(cfg, 0, 0, draw)
-        st = run(chans.H_hat, chans.sigma_e2, rho, SIGMA_N2, cfg.solver)
-        traces.append([float(v) for v in st.objective_trace])
-        iters.append(st.iterations)
+    traces, iters = zip(*_run_items([(_trace, cfg, draw) for draw in range(cfg.draws)], cfg.workers))
     payload = {
         "snr_db": snr,
         "sigma_e2": sigma_e2,

@@ -4,19 +4,20 @@ Every (grid point, draw) work item derives its own seed from the experiment
 seed, so results are identical regardless of how many workers execute them.
 Schemes within a draw share the channel realization (paired comparisons).
 
-With W = min(workers, items) > 1, the items are dealt into W interleaved
-shares, items[w::W]. This process designs share 0; a child made by os.fork
-designs each other share, sends its pickled outputs back through its own
-pipe and leaves with os._exit. The children inherit the config and the
+The share runner, _run_items, runs work items (fn, *args) of any command and
+returns each fn(*args). With W = min(workers, items) > 1, the items are dealt
+into W interleaved shares, items[w::W]. This process runs share 0; a child
+made by os.fork runs each other share, sends its pickled outputs back
+through its own pipe and leaves with os._exit. The children inherit the
 items, so only outputs cross a pipe, and the outputs are put back in item
-order. A share stops at its first failing item; the earliest failing item of
-the grid is re-raised. A child that dies without sending its outputs raises
+order. A share stops at its first failing item; the earliest failing item
+is re-raised. A child that dies without sending its outputs raises
 WorkerDied, before this process starts its next item of share 0 or, once
 share 0 is done, when the child's pipe is read. On an error or a Ctrl-C,
-this process kills and reaps every child it has forked: from the main thread
-it holds SIGINT while it forks and records a child and while it reaps one,
-and a child forked there leaves SIGINT to it. os.fork is required for
-workers > 1.
+this process kills and reaps every child it has forked. From the main
+thread it holds SIGINT over its set-up (loading numpy.random, then forking
+and recording every child), over each reap and over its clean-up, and a
+child forked there leaves SIGINT to it. os.fork is required for workers > 1.
 
 csv_text and json_summary stamp their text with version_string(), which runs
 git once per process, when the first stamp is needed: a run itself starts no
@@ -231,14 +232,14 @@ class WorkerDied(RuntimeError):
 
 
 def _run_share(share, poll=lambda: None):
-    """_run_draw's outputs over a share's items in order, and the exception of
-    its first failing item, which ends the share (None when every item ran).
+    """fn(*args) for each item (fn, *args) of a share, in order, and the exception
+    of its first failing item, which ends the share (None when every item ran).
     poll runs before each item, outside the capture: what it raises ends the run."""
     outputs = []
-    for args in share:
+    for fn, *args in share:
         poll()
         try:
-            outputs.append(_run_draw(*args))
+            outputs.append(fn(*args))
         except Exception as exc:
             return outputs, exc
     return outputs, None
@@ -285,16 +286,18 @@ def _fork_share(items, w, W):
 
 
 def _run_items(items, workers):
-    """_run_draw's output for every item, in item order, from W interleaved shares.
+    """fn(*args) for every item (fn, *args), in item order, from W interleaved shares.
 
     A refused fork raises _fork_share's OSError. A child that ends without
     sending its share raises WorkerDied naming the share and how the child
     ended; before each of its own items, this process reaps the children that
     have ended, without waiting for the others. On any error or interrupt, the
     children not yet reaped are killed; every child is reaped before this
-    returns. In the main thread, SIGINT is held while a child is forked and
-    recorded and while one is reaped, so a Ctrl-C finds in pids every child
-    there is to kill, and no child that is gone.
+    returns. In the main thread, SIGINT is held over the set-up, which loads
+    numpy.random (so no item, here or in a child, imports it) and forks and
+    records every child, over each reap and over the clean-up that kills and
+    reaps what is left. So a Ctrl-C finds in pids every child there is to
+    kill and no child that is gone, and no Ctrl-C cuts the clean-up short.
     """
     W = min(workers, len(items))
     pids, pipes = {}, {}  # share -> its child's pid until reaped, and its pipe's read end until read
@@ -313,8 +316,9 @@ def _run_items(items, workers):
                 raise WorkerDied(f"worker of share {w} of {W} (pid {pid}) {how} before sending its outputs")
 
     try:
-        for w in range(1, W):
-            with hold():
+        with hold():
+            import numpy.random  # noqa: F401  a Ctrl-C that lands in its extension's init is lost
+            for w in range(1, W):
                 pids[w], pipes[w] = _fork_share(items, w, W)
         shares = [_run_share(items[0::W], lambda: reap(list(pids), os.WNOHANG))]
         for w in range(1, W):
@@ -323,11 +327,12 @@ def _run_items(items, workers):
             reap(pids.keys() & {w})  # unless a poll has reaped it already
             shares.append(pickle.loads(data))
     finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        with hold():
+            for pipe in pipes.values():
+                pipe.close()
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     failed = [(w + len(outputs) * W, exc) for w, (outputs, exc) in enumerate(shares) if exc is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
@@ -337,7 +342,7 @@ def _run_items(items, workers):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute the full grid; deterministic for a given config regardless of workers."""
     points = product(range(len(cfg.sigma_points)), range(len(cfg.snr_db_grid)), range(cfg.draws))
-    items = [(cfg, *point) for point in points]
+    items = [(_run_draw, cfg, *point) for point in points]
     outputs = _run_items(items, cfg.workers)
     records = [r for rs, _ in outputs for r in rs]
     failures = [f for _, fs in outputs for f in fs]

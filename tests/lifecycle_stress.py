@@ -38,6 +38,8 @@ LIFECYCLE = {  # what each test checks: test file -> test functions
         "test_a_killed_child_is_named_not_waited_for",  # a dead worker
         "test_a_dead_child_ends_the_run_before_this_process_designs_another_item",  # a dead worker
         "test_a_child_failure_reraises_the_earliest_failing_item",  # kill-on-error
+        "test_a_second_interrupt_does_not_cut_the_clean_up_short",  # an interrupt in the clean-up
+        "test_the_run_loads_numpy_random_before_it_forks_or_runs_an_item",  # the held set-up
     ],
 }
 

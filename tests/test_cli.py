@@ -209,9 +209,17 @@ def sweep_args(tmp_path, *extra):
     )
 
 
-def test_converge_help_says_it_ignores_workers(capsys):
-    assert run_cli("converge", "--help") == 0
-    assert "converge ignores it and designs in one process" in " ".join(capsys.readouterr().out.split())
+def test_converge_writes_the_same_files_with_any_worker_count(tmp_path):
+    # converge designs its draws through the share runner, as sweep and cdf do
+    point = ("--m", "4", "--n", "2", "--k", "2", "--snr-db", "20", "--sigma-e2", "0.1", "--draws", "4")
+    files = {}
+    for workers in ("1", "2", "3"):
+        out = tmp_path / workers
+        out.mkdir()
+        assert run_cli("converge", *point, "--workers", workers, "--out-dir", str(out)) == 0
+        files[workers] = [(out / name).read_bytes() for name in ("converge.csv", "converge.json")]
+    assert files["1"] == files["2"] == files["3"]
+    assert _no_child_left()
 
 
 def test_sweep_writes_expected_artifacts(tmp_path, capsys):

@@ -534,6 +534,32 @@ def test_a_failed_fork_raises_and_leaves_no_child_and_no_pipe(monkeypatch, deadl
     assert len(os.listdir("/proc/self/fd")) == len(fds)
 
 
+def _run_alone(tmp_path, script, *argv):
+    """Run script in a fresh interpreter, in a process group of its own, and return
+    its exit code, stdout, stderr and whether a process of its group outlived it.
+    Whatever is left of the group is then killed. The output goes to files: a
+    pipe would wait for a stray child to close it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsmimo.__file__)), OPENBLAS_NUM_THREADS="1")
+    with open(tmp_path / "stdout", "w") as out, open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env, start_new_session=True,
+                                stdout=out, stderr=err)
+    try:
+        code = proc.wait(timeout=60)
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            left = False
+        else:
+            left = True
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return code, (tmp_path / "stdout").read_text(), (tmp_path / "stderr").read_text(), left
+
+
 AT_FORK_INTERRUPT = """
 import functools, os, signal, sys, threading, time
 from rsmimo.evaluate import ExperimentConfig, run_experiment
@@ -550,22 +576,71 @@ def test_an_interrupt_at_the_fork_ends_the_run_and_leaves_no_process(tmp_path, t
     # the fork hook sends SIGINT to the run's own process before the child
     # exists, so only that process can end the child: the interrupt must end
     # the run, and once the process has exited no process of its group is left
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsmimo.__file__)), OPENBLAS_NUM_THREADS="1")
-    with open(tmp_path / "stderr", "w") as err:  # a pipe would wait for a stray child to close it
-        proc = subprocess.Popen([sys.executable, "-c", AT_FORK_INTERRUPT, threads], env=env,
-                                start_new_session=True, stderr=err)
+    code, _, err, left = _run_alone(tmp_path, AT_FORK_INTERRUPT, threads)
+    assert code == -signal.SIGINT and err.rstrip().endswith("KeyboardInterrupt"), err
+    assert not left
+
+
+CLEAN_UP_INTERRUPT = """
+import os, signal, time
+from rsmimo import evaluate
+parent, real_kill, killed = os.getpid(), os.kill, []
+
+def item():
+    if os.getpid() == parent:  # the first Ctrl-C, in this process's first item
+        signal.raise_signal(signal.SIGINT)
+    time.sleep(60)  # the workers run until the clean-up kills them
+
+def kill(pid, signum):  # the second Ctrl-C, right after the clean-up's first SIGKILL
+    real_kill(pid, signum)
+    killed.append(pid)
+    if len(killed) == 1:
+        signal.raise_signal(signal.SIGINT)
+
+os.kill = kill
+try:
+    evaluate._run_items([(item,)] * 6, 3)
+except KeyboardInterrupt:
     try:
-        code = proc.wait(timeout=60)
-        stderr = (tmp_path / "stderr").read_text()
-        assert code == -signal.SIGINT and stderr.rstrip().endswith("KeyboardInterrupt"), stderr
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)  # whatever a failure left of the group
-        except ProcessLookupError:
-            pass
-        proc.wait()
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print(len(killed))
+"""
+
+
+def test_a_second_interrupt_does_not_cut_the_clean_up_short(tmp_path):
+    # a Ctrl-C while the clean-up kills and reaps the workers is raised once
+    # it has killed and reaped both of them
+    code, out, err, left = _run_alone(tmp_path, CLEAN_UP_INTERRUPT)
+    assert (code, out, left) == (0, "2\n", False), err
+
+
+SET_UP = """
+import os, sys
+from rsmimo import evaluate
+assert "numpy.random" not in sys.modules
+loaded = []  # whether numpy.random is loaded: at each fork, or else before the first item
+os.register_at_fork(before=lambda: loaded.append("numpy.random" in sys.modules))
+real = evaluate._run_draw
+
+def first(*args):
+    if not loaded:
+        loaded.append("numpy.random" in sys.modules)
+    return real(*args)
+
+evaluate._run_draw = first
+evaluate.run_experiment(evaluate.ExperimentConfig(M=4, N=1, K=2, snr_db_grid=(10.0,), sigma_e2_grid=(0.3,),
+                                                  draws=4, schemes=("mrt",), seed=5, workers=int(sys.argv[1])))
+print(loaded)
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_run_loads_numpy_random_before_it_forks_or_runs_an_item(tmp_path, workers):
+    # a Ctrl-C that lands in numpy.random's first import is lost, so the run
+    # loads it in its held set-up, and no worker imports it while items run
+    code, out, err, left = _run_alone(tmp_path, SET_UP, workers)
+    assert (code, out, left) == (0, "[True]\n", False), err
 
 
 def test_workers_need_fork(monkeypatch):
