@@ -17,6 +17,7 @@ from .evaluate import (
     ExperimentConfig,
     WorkerDied,
     _run_items,
+    _sigint_held,
     csv_text,
     draw_channels,
     empirical_cdf,
@@ -259,6 +260,8 @@ def _cmd_selftest(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    with _sigint_held():
+        import numpy.random  # noqa: F401  a Ctrl-C that lands in its extension's init is lost
     results = selfcheck.run_all(seed=args.seed, quick=args.quick, workers=args.workers)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

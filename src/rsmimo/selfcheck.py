@@ -27,7 +27,7 @@ from .rates import (
     side_by_side,
     weights,
 )
-from .solver import T_CLAMP, SolverConfig, run, solve_p1, solve_p2, solve_p3
+from .solver import T_CLAMP, SolverConfig, _blocks, run, solve_p1, solve_p2, solve_p3
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,25 @@ def expectation_quadratic(variances, X):
 
 
 def mse_at_filters(H_hat_k, sigma_e2_k, P: PrecoderSet, sigma_n2, k, Dc, Dp):
-    """Conditional-expected MSE matrices for user k at arbitrary receive filters.
+    """Conditional-expected MSE matrices (Mc, Mp) for user k at arbitrary receive filters.
 
-    The CSIT-error expectation is resolved through expectation_quadratic, so
-    the quadratic filter terms reuse exactly the F/G noise-floor structure.
-    A stream whose filter is None, as a bundle holds for a stream it skipped,
-    gets None for its MSE matrix.
+    One expression serves both streams: a stream's precoder Pz is received
+    against the precoders Pr its receiver sees, all of them for the common
+    stream and the private ones for user k's own. The CSIT-error expectation
+    is resolved through expectation_quadratic. A stream whose filter is None,
+    as a bundle holds for a stream it skipped, gets None for its MSE matrix.
     """
     M, N = H_hat_k.shape
     eye = np.eye(N)
     var = np.full((M, N), float(sigma_e2_k))
-    Pfull = P.full()
-    Ppriv = P.private()
-    Tf = Pfull @ Pfull.conj().T
-    Tp = Ppriv @ Ppriv.conj().T
-    F = herm(H_hat_k.conj().T @ Tf @ H_hat_k) + expectation_quadratic(var, Tf) + sigma_n2 * eye
-    G = herm(H_hat_k.conj().T @ Tp @ H_hat_k) + expectation_quadratic(var, Tp) + sigma_n2 * eye
-    Sc = H_hat_k.conj().T @ P.Pc
-    Sp = H_hat_k.conj().T @ P.Pp[k]
-    Mc = None if Dc is None else herm(eye - Dc @ Sc - Sc.conj().T @ Dc.conj().T + Dc @ F @ Dc.conj().T)
-    Mp = None if Dp is None else herm(eye - Dp @ Sp - Sp.conj().T @ Dp.conj().T + Dp @ G @ Dp.conj().T)
-    return Mc, Mp
+    Hh = H_hat_k.conj().T
+    out = []
+    for D, Pz, Pr in ((Dc, P.Pc, P.full()), (Dp, P.Pp[k], P.private())):
+        T = Pr @ Pr.conj().T
+        F = herm(Hh @ T @ H_hat_k) + expectation_quadratic(var, T) + sigma_n2 * eye
+        S = Hh @ Pz
+        out.append(None if D is None else herm(eye - D @ S - S.conj().T @ D.conj().T + D @ F @ D.conj().T))
+    return tuple(out)
 
 
 def objective_f2(Mc_list, Mp_list, weight_bundles) -> float:
@@ -135,17 +133,15 @@ def check_mmse_inverse_identity(seed=0, instances=1000):
         b = all_bundles(H_hat, [sig2] * K, P, 1.0)[k]
         Hh = H_hat[k]
         Ppriv = P.private()
-        Sc = Hh.conj().T @ P.Pc
-        Jc = Hh.conj().T @ Ppriv @ Ppriv.conj().T @ Hh + (sig2 * P.power() + 1.0) * np.eye(N)
-        sinr_c = Sc.conj().T @ np.linalg.solve(Jc, Sc)
         Po = side_by_side(np.delete(P.Pp, k, axis=0))
         tr_priv = float(np.sum(np.abs(Ppriv) ** 2))
-        Sp = Hh.conj().T @ P.Pp[k]
-        Jp = Hh.conj().T @ Po @ Po.conj().T @ Hh + (sig2 * tr_priv + 1.0) * np.eye(N)
-        sinr_p = Sp.conj().T @ np.linalg.solve(Jp, Sp)
-        for Mz, sinr in ((b.Mc_mmse, sinr_c), (b.Mp_mmse, sinr_p)):
+        # per stream: its MMSE matrix, its precoder, the precoders that interfere with it
+        # and the power that the CSIT error leaks into its receiver
+        for Mz, Pz, Pi, power in ((b.Mc_mmse, P.Pc, Ppriv, P.power()), (b.Mp_mmse, P.Pp[k], Po, tr_priv)):
+            S = Hh.conj().T @ Pz
+            J = Hh.conj().T @ Pi @ Pi.conj().T @ Hh + (sig2 * power + 1.0) * np.eye(N)
             lhs = np.linalg.inv(Mz)
-            rel = np.linalg.norm(lhs - np.eye(N) - sinr) / np.linalg.norm(lhs)
+            rel = np.linalg.norm(lhs - np.eye(N) - S.conj().T @ np.linalg.solve(J, S)) / np.linalg.norm(lhs)
             worst = max(worst, float(rel))
     return worst <= 1e-8, f"worst rel err {worst:.2e} over {instances} instances"
 
@@ -169,14 +165,11 @@ def check_quadratic_expectation(seed=1, draws=200_000):
         Yi = rng.standard_normal((draws, M, N)) * std
         Y = Yr + 1j * Yi
         Z = np.einsum("dmi,mn,dnj->dij", Y.conj(), X, Y)
-        mean = Z.mean(axis=0)
-        se_re = Z.real.std(axis=0, ddof=1) / np.sqrt(draws)
-        se_im = Z.imag.std(axis=0, ddof=1) / np.sqrt(draws)
-        d_re = np.abs(mean.real - expected.real)
-        d_im = np.abs(mean.imag - expected.imag)
-        case_ok = np.all(d_re <= 3.0 * se_re + 1e-12) and np.all(d_im <= 3.0 * se_im + 1e-12)
-        ok = ok and bool(case_ok)
-        details.append(f"{label} max |err|/se {max(np.max(d_re/ (se_re+1e-300)), np.max(d_im/(se_im+1e-300))):.2f}")
+        # real and imaginary parts side by side, each tested on its own
+        se = Z.view(float).std(axis=0, ddof=1) / np.sqrt(draws)
+        d = np.abs(Z.mean(axis=0).view(float) - expected.view(float))
+        ok = ok and bool(np.all(d <= 3.0 * se + 1e-12))
+        details.append(f"{label} max |err|/se {np.max(d / (se + 1e-300)):.2f}")
     return ok, "; ".join(details)
 
 
@@ -214,11 +207,7 @@ def check_gradient_equality(seed=2, points=10):
             return objective_f1(H_hat, sig2, P, sn2)
 
         def f2(P):
-            Mc, Mp = [], []
-            for k in range(K):
-                a, b = mse_at_filters(H_hat[k], sig2[k], P, sn2, k, bundles[k].Dc, bundles[k].Dp)
-                Mc.append(a)
-                Mp.append(b)
+            Mc, Mp = zip(*(mse_at_filters(H_hat[k], sig2[k], P, sn2, k, b.Dc, b.Dp) for k, b in enumerate(bundles)))
             return objective_f2(Mc, Mp, wts)
 
         g1 = _fd_gradient(f1, P0)
@@ -268,7 +257,7 @@ def check_split_root(seed=4, iterates=100, grid_points=1_000_000):
         P = _random_precoders(rng, M, N, K, rho)
         bundles = all_bundles(H_hat, sig2, P, sn2)
         Pp_cat, B, V = solve_p1(H_hat, sig2, bundles.Dp, weights(bundles).Wp, rho, t, sn2)
-        P_mid = PrecoderSet(Pc=P.Pc, Pp=np.split(Pp_cat, K, axis=1), rho=rho)
+        P_mid = PrecoderSet(Pc=P.Pc, Pp=_blocks(Pp_cat, K), rho=rho)
         bundles2 = all_bundles(H_hat, sig2, P_mid, sn2)
         Pc, A, U = solve_p2(H_hat, sig2, bundles2.Dc, weights(bundles2).Wc, Pp_cat, rho, t, sn2)
         Pc_norm = Pc / np.linalg.norm(Pc)

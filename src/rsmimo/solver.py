@@ -214,10 +214,9 @@ def solve_p3(U, V, A, B, Pc_norm, Pp_norm, rho):
     if deriv(hi) <= 0.0:
         return hi, "high"
     # derivative is strictly increasing in t, so the sign change is unique
-    sqrt = math.sqrt
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if sqrt(rho / (1.0 - mid)) * a - sqrt(rho / mid) * b + c < 0.0:  # deriv(mid), inlined
+        if deriv(mid) < 0.0:
             lo = mid
         else:
             hi = mid

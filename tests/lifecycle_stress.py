@@ -31,6 +31,7 @@ LIFECYCLE = {  # what each test checks: test file -> test functions
         "test_a_failed_fork_exits_2_naming_the_os_error",  # a failed fork
         "test_a_dead_worker_exits_3_as_a_worker_failure",  # a dead worker
         "test_sweep_reaps_its_workers_and_runs_git_only_to_write",  # kill-on-error
+        "test_selftest_loads_numpy_random_before_the_battery",  # the held set-up of selftest
     ],
     "tests/test_evaluate.py": [
         "test_an_interrupt_at_the_fork_ends_the_run_and_leaves_no_process",  # the at-fork interrupt

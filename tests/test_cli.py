@@ -421,6 +421,32 @@ def test_selftest_exit_codes(monkeypatch, capsys):
     assert run_cli("selftest") == 1
 
 
+SELFTEST_SET_UP = """
+import sys
+from rsmimo import cli, selfcheck
+assert "numpy.random" not in sys.modules
+loaded = []  # whether numpy.random is loaded when the battery starts
+
+def run_all(seed=0, quick=False, workers=1):
+    loaded.append("numpy.random" in sys.modules)
+    return [selfcheck.CheckResult(name="x", passed=True, detail="", seconds=0.0)]
+
+selfcheck.run_all = run_all
+code = cli.main(["selftest", "--quick"])
+print(loaded)
+sys.exit(code)
+"""
+
+
+def test_selftest_loads_numpy_random_before_the_battery():
+    # a Ctrl-C that lands in numpy.random's first import is lost, so selftest
+    # loads it while Ctrl-C is held, and no check of the battery imports it
+    env = dict(os.environ, PYTHONPATH=str(Path(rsmimo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SELFTEST_SET_UP], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "1/1 checks passed\n[True]\n"), proc.stderr
+
+
 # check: (seed offset, the sizes run_all passes under --quick, the full sizes
 # that are the check's own defaults and that a full run therefore leaves out);
 # the rate-ordering check also gets the worker count (3 below)

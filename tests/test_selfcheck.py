@@ -1,5 +1,8 @@
-# Every gate of the acceptance battery can fail: each test plants one fault
-# in what a check calls and asserts that the check fails and says why. The
+# Each test below plants one fault in what a battery check calls and asserts
+# that the check fails and says why. Seven of the ten checks have such a test.
+# power-conservation and rate-ordering have none yet, and perfect-csit cannot
+# have one: at sigma_e2 = 0 the proposed design starts all-private and repeats
+# the rwmmse one step for step, so the check passes by construction. The
 # battery's finite-difference gradient is pinned against its per-block loop.
 from __future__ import annotations
 
@@ -28,6 +31,37 @@ def test_fd_gradient_matches_the_per_block_loop(M, N, K):
     g = selfcheck._fd_gradient(f1, P0)
     assert g.shape == (M, N * (K + 1))
     assert g.tobytes() == frozen_fd_gradient(f1, P0).tobytes()
+
+
+def test_mmse_inverse_identity_fails_on_a_scaled_private_factor(monkeypatch):
+    real = selfcheck.all_bundles
+
+    def scaled(*args):
+        bundles = real(*args)
+        return replace(bundles, L22p=1.01 * bundles.L22p)
+
+    monkeypatch.setattr(selfcheck, "all_bundles", scaled)
+    result = selfcheck.check_mmse_inverse_identity(instances=20)
+    assert result.passed is False
+    assert result.detail == "worst rel err 2.01e-02 over 20 instances"
+
+
+def test_quadratic_expectation_fails_on_an_imaginary_bias(monkeypatch):
+    # the bias moves only imaginary parts, so the check must read them
+    real = selfcheck.expectation_quadratic
+    bias = 0.05j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    monkeypatch.setattr(selfcheck, "expectation_quadratic", lambda variances, X: real(variances, X) + bias)
+    result = selfcheck.check_quadratic_expectation(draws=20_000)
+    assert result.passed is False
+    assert result.detail == "uniform max |err|/se 11.82; varying max |err|/se 8.21"
+
+
+def test_gradient_equality_fails_on_a_scaled_surrogate(monkeypatch):
+    real = selfcheck.objective_f2
+    monkeypatch.setattr(selfcheck, "objective_f2", lambda *args: 1.001 * real(*args))
+    result = selfcheck.check_gradient_equality(points=1)
+    assert result.passed is False
+    assert result.detail == "worst coordinate rel diff 1.00e-03 over 1 points"
 
 
 def test_descent_fails_on_a_rising_trace(monkeypatch):
